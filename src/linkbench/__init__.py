@@ -4,10 +4,7 @@ from .graph import (
     EdgeListParseError,
     Graph,
     build_graph,
-    canonical_edges,
-    load_graph,
     read_edge_list,
-    save_graph,
     write_edge_list,
 )
 from .generators import (
@@ -28,16 +25,15 @@ from .sampling import (
     sample_negative_uniform,
     split_positive,
 )
-from .predictors import (
-    METHODS,
-    MethodSpec,
-    ScoreTable,
-    build_score_table,
-    score_heuristic,
-    score_method,
-    score_pa,
+from .predictors import METHODS, MethodSpec, score_method
+from .metrics import (
+    Recommendations,
+    auc_roc,
+    rbo,
+    top_c_recommend,
+    vcmpr_at_c,
+    vcmpr_per_node,
 )
-from .metrics import Recommendations, auc_roc, rbo, top_c_recommend, vcmpr_at_c
 from .nullmodel import (
     LogNormalFit,
     expected_pa_auc,

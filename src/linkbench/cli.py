@@ -12,15 +12,13 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .generators import GenerationError, LfrParams, generate_lfr, generate_price
 from .graph import build_graph, read_edge_list, write_edge_list
 from .harness import BenchmarkConfig, run_evaluation, write_rows_csv, \
     write_summary_json
-from .metrics import rbo, top_c_recommend, vcmpr_at_c
+from .metrics import rbo, top_c_recommend, vcmpr_at_c, vcmpr_per_node
 from .nullmodel import expected_pa_auc, fit_lognormal_degrees, size_biased_law
-from .predictors import METHODS, MethodSpec, build_score_table
+from .predictors import METHODS, MethodSpec, score_method
 from .sampling import SaturationError, make_split
 
 
@@ -90,39 +88,30 @@ def cmd_split(args) -> int:
 def cmd_score(args) -> int:
     train = _load_graph(args.train)
     pairs = read_edge_list(args.pairs)
-    table = build_score_table(train, pairs, _method_spec(args))
+    spec = _method_spec(args)
+    scores = score_method(train, pairs, spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "score"])
-        for (i, j), s in zip(table.pairs, table.scores):
+        for (i, j), s in zip(pairs, scores):
             writer.writerow([i, j, repr(float(s))])
-    print(f"wrote {args.out}: {table.scores.size} scores ({table.method})")
+    print(f"wrote {args.out}: {scores.size} scores ({spec.method})")
     return 0
 
 
 def cmd_recommend(args) -> int:
     train = _load_graph(args.train)
     positives = read_edge_list(args.pos)
-    spec = _method_spec(args)
-    recs = top_c_recommend(train, spec, args.top_c)
-    mean_vcmpr = vcmpr_at_c(recs, positives, args.top_c)
-
-    partners: dict = {}
-    for i, j in positives:
-        partners.setdefault(int(i), set()).add(int(j))
-        partners.setdefault(int(j), set()).add(int(i))
+    recs = top_c_recommend(train, _method_spec(args), args.top_c)
+    rows = vcmpr_per_node(recs, positives, args.top_c)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["node", "hits", "num_partners", "precision", "recall",
                          "vcmpr"])
-        for node, mates in sorted(partners.items()):
-            top = recs.items[node][:args.top_c]
-            hits = len(mates.intersection(top.tolist()))
-            precision = hits / args.top_c
-            recall = hits / len(mates)
-            writer.writerow([node, hits, len(mates), repr(precision),
-                             repr(recall), repr(max(precision, recall))])
-    print(f"vcmpr_mean={mean_vcmpr!r}")
+        for node, hits, mates, precision, recall, vcmpr in rows:
+            writer.writerow([node, hits, mates, repr(precision),
+                             repr(recall), repr(vcmpr)])
+    print(f"vcmpr_mean={vcmpr_at_c(recs, positives, args.top_c)!r}")
     return 0
 
 

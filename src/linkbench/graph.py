@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 
 class EdgeListParseError(ValueError):
@@ -24,24 +23,6 @@ def _as_pair_array(pairs) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (m, 2) pair array, got shape {arr.shape}")
     return arr
-
-
-def canonical_edges(pairs) -> np.ndarray:
-    """Return the pairs with i < j per row, deduplicated and lexicographically sorted.
-
-    Self-loops are removed. The result is the canonical form used by the
-    edge-list writer and by :meth:`Graph.edge_array`.
-    """
-    arr = _as_pair_array(pairs)
-    if arr.size == 0:
-        return arr
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    keep = lo != hi
-    stacked = np.stack([lo[keep], hi[keep]], axis=1)
-    if stacked.size == 0:
-        return stacked
-    return np.unique(stacked, axis=0)
 
 
 class Graph:
@@ -146,40 +127,6 @@ class Graph:
             self._csr = mat
         return self._csr
 
-    def largest_connected_component(self) -> tuple["Graph", dict]:
-        """Extract the largest connected component as a new Graph.
-
-        Nodes are relabeled to 0..k-1 preserving their relative order. Among
-        equally large components the one containing the smallest node id wins.
-
-        Returns:
-            (subgraph, mapping) where mapping is a dict old-id -> new-id
-            covering exactly the kept nodes.
-        """
-        n = self.num_nodes
-        if n == 0:
-            return Graph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)), {}
-        n_comp, labels = csgraph.connected_components(self.to_scipy_csr(), directed=False)
-        sizes = np.bincount(labels, minlength=n_comp)
-        best_size = sizes.max()
-        candidates = np.flatnonzero(sizes == best_size)
-        # first node carrying each label; the smallest first-node breaks ties
-        first_node = np.full(n_comp, n, dtype=np.int64)
-        np.minimum.at(first_node, labels, np.arange(n, dtype=np.int64))
-        chosen = candidates[np.argmin(first_node[candidates])]
-
-        keep = labels == chosen
-        old_ids = np.flatnonzero(keep)
-        new_of_old = np.full(n, -1, dtype=np.int64)
-        new_of_old[old_ids] = np.arange(old_ids.size, dtype=np.int64)
-
-        edges = self.edge_array()
-        sub = edges[keep[edges[:, 0]] & keep[edges[:, 1]]]
-        mapped = new_of_old[sub]
-        g = build_graph(mapped, num_nodes=old_ids.size)
-        mapping = {int(o): int(new_of_old[o]) for o in old_ids}
-        return g, mapping
-
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
@@ -269,26 +216,8 @@ def read_edge_list(path) -> np.ndarray:
 
 
 def write_edge_list(pairs, path) -> None:
-    """Write pairs as "i j" lines. Round-trips exactly on canonical lists."""
+    """Write pairs as "i j" lines, which read_edge_list reads back exactly."""
     arr = _as_pair_array(pairs)
     with open(path, "w", encoding="utf-8") as fh:
         for i, j in arr:
             fh.write(f"{i} {j}\n")
-
-
-def save_graph(g: Graph, path) -> None:
-    """Binary cache of a Graph (internal format, versioned)."""
-    np.savez_compressed(
-        path,
-        format=np.array(["linkbench-graph-v1"]),
-        indptr=g.indptr,
-        indices=g.indices,
-    )
-
-
-def load_graph(path) -> Graph:
-    with np.load(path, allow_pickle=False) as data:
-        tag = str(data["format"][0])
-        if tag != "linkbench-graph-v1":
-            raise ValueError(f"unrecognized graph cache format {tag!r}")
-        return Graph(data["indptr"], data["indices"])

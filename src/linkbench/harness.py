@@ -12,6 +12,7 @@ worker count; any cell failure becomes an error row and the run continues.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,23 @@ def derive_seed(master_seed: int, graph_id: str, sampler: str, repeat: int) -> i
     return int.from_bytes(digest[:8], "big") % (1 << 63)
 
 
+def _check_keys(where: str, entry, required, optional=()) -> None:
+    """Raise ValueError naming the missing and the unknown keys of entry."""
+    missing = sorted(set(required) - set(entry))
+    unknown = sorted(set(entry) - set(required) - set(optional))
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+
+
+# generator kind -> required recipe keys besides "kind"; "seed" is optional
+_RECIPE_KEYS = {
+    "price": ("n", "m_per_node"),
+    "lfr": tuple(f.name for f in dataclasses.fields(LfrParams)),
+}
+
+
 @dataclass(frozen=True)
 class GraphSource:
     """A graph to benchmark: either a file path or a generator recipe."""
@@ -44,22 +62,29 @@ class GraphSource:
     path: str | None = None
     generator: dict | None = None
 
-    def load(self) -> Graph:
+    def __post_init__(self):
         if (self.path is None) == (self.generator is None):
             raise ValueError(
                 f"graph {self.graph_id!r} needs exactly one of path/generator")
+        if self.generator is not None:
+            kind = self.generator.get("kind")
+            if kind not in _RECIPE_KEYS:
+                raise ValueError(
+                    f"graph {self.graph_id!r}: unknown generator kind {kind!r}")
+            _check_keys(f"graph {self.graph_id!r}: {kind} generator",
+                        self.generator, ("kind",) + _RECIPE_KEYS[kind],
+                        ("seed",))
+
+    def load(self) -> Graph:
         if self.path is not None:
             return build_graph(read_edge_list(self.path))
         recipe = dict(self.generator)
-        kind = recipe.pop("kind", None)
+        kind = recipe.pop("kind")
+        seed = recipe.pop("seed", 0)
         if kind == "price":
-            return generate_price(recipe.pop("n"), recipe.pop("m_per_node"),
-                                  recipe.pop("seed", 0))
-        if kind == "lfr":
-            seed = recipe.pop("seed", 0)
-            g, _ = generate_lfr(LfrParams(**recipe), seed)
-            return g
-        raise ValueError(f"graph {self.graph_id!r}: unknown generator kind {kind!r}")
+            return generate_price(recipe["n"], recipe["m_per_node"], seed)
+        g, _ = generate_lfr(LfrParams(**recipe), seed)
+        return g
 
 
 @dataclass(frozen=True)
@@ -83,10 +108,12 @@ class BenchmarkConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if not self.samplers or any(s not in SAMPLERS for s in self.samplers):
-            raise ValueError(f"samplers must be a non-empty subset of {SAMPLERS}")
-        if any(t not in TASKS for t in self.tasks) or not self.tasks:
-            raise ValueError(f"tasks must be a non-empty subset of {TASKS}")
+        for key, allowed in (("samplers", SAMPLERS), ("tasks", TASKS)):
+            chosen = getattr(self, key)
+            if (not chosen or len(set(chosen)) != len(chosen)
+                    or not set(chosen) <= set(allowed)):
+                raise ValueError(
+                    f"{key} must be distinct members of {allowed}, got {chosen}")
         if self.top_c < 1:
             raise ValueError("top_c must be >= 1")
         if not 0 < self.rbo_p < 1:
@@ -100,24 +127,18 @@ class BenchmarkConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "BenchmarkConfig":
-        known = {"graphs", "methods", "beta", "repeats", "samplers", "top_c",
-                 "rbo_p", "master_seed", "tasks"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "graphs" not in data or "methods" not in data:
-            raise ValueError("config must list graphs and methods")
+        optional = ("beta", "repeats", "samplers", "top_c", "rbo_p",
+                    "master_seed", "tasks")
+        _check_keys("config", data, ("graphs", "methods"), optional)
 
         graphs = []
         for entry in data["graphs"]:
             if isinstance(entry, str):
                 entry = {"path": entry}
-            entry = dict(entry)
-            gid = entry.pop("id", None)
-            path = entry.pop("path", None)
-            generator = entry.pop("generator", None)
-            if entry:
-                raise ValueError(f"unknown graph keys: {sorted(entry)}")
+            _check_keys("graph entry", entry, (), ("id", "path", "generator"))
+            gid = entry.get("id")
+            path = entry.get("path")
+            generator = entry.get("generator")
             if gid is None:
                 if path is not None:
                     gid = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -129,12 +150,12 @@ class BenchmarkConfig:
         methods = []
         for entry in data["methods"]:
             if isinstance(entry, str):
-                methods.append(MethodSpec(method=entry))
-            else:
-                methods.append(MethodSpec(**entry))
+                entry = {"method": entry}
+            _check_keys("method entry", entry, ("method",),
+                        ("epsilon", "walk_steps"))
+            methods.append(MethodSpec(**entry))
 
-        kwargs = {k: data[k] for k in known & set(data)
-                  if k not in ("graphs", "methods")}
+        kwargs = {k: data[k] for k in optional if k in data}
         for key in ("samplers", "tasks"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
@@ -193,25 +214,11 @@ def write_rows_csv(rows, path) -> None:
             writer.writerow([r.graph, r.method, r.sampler, r.repeat, r.metric, value])
 
 
-def _load_graphs(config: BenchmarkConfig) -> dict:
-    return {src.graph_id: src.load() for src in config.graphs}
-
-
-def _check_seed_collisions(seeds: list) -> None:
-    if len(set(seeds)) != len(seeds):
-        raise RuntimeError("derived cell seeds collide; change master_seed")
-
-
-def _run_cells(cells, worker, jobs: int) -> list:
-    if jobs <= 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, cells))
-
-
 def _append_means_and_rank(report: BenchmarkReport, config: BenchmarkConfig,
-                           metric: str, per_cell: dict, sampler_keys) -> None:
+                           metric: str, sampler_keys) -> None:
     """Aggregate per-repeat values into mean rows and method rankings."""
+    per_cell = {(r.graph, r.sampler, r.repeat, r.method): r.value
+                for r in report.rows if r.metric == metric}
     mean_metric = metric + "_mean"
     for gid in [g.graph_id for g in config.graphs]:
         for sampler in sampler_keys:
@@ -229,103 +236,95 @@ def _append_means_and_rank(report: BenchmarkReport, config: BenchmarkConfig,
                 report.rankings[(gid, sampler)] = ranking
 
 
-def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkReport:
-    """AUC of every configured method under every configured sampler.
-
-    Within a cell the split and the negative set are shared by all methods,
-    so method comparisons see identical instances.
-    """
-    graphs = _load_graphs(config)
-    cells = [(gid, sampler, rep)
-             for gid in graphs
-             for sampler in config.samplers
-             for rep in range(config.repeats)]
-    seeds = [derive_seed(config.master_seed, gid, sampler, rep)
-             for gid, sampler, rep in cells]
-    _check_seed_collisions(seeds)
-
-    def worker(item):
-        (gid, sampler, rep), seed = item
-        out = []
-        try:
-            split = make_split(graphs[gid], config.beta, sampler, seed)
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return [(gid, m.method, sampler, rep, None,
-                     f"split failed: {exc}") for m in config.methods]
-        for spec in config.methods:
-            try:
-                pos = score_method(split.train, split.positives, spec)
-                neg = score_method(split.train, split.negatives, spec)
-                out.append((gid, spec.method, sampler, rep,
-                            auc_roc(pos, neg), None))
-            except Exception as exc:  # noqa: BLE001
-                out.append((gid, spec.method, sampler, rep, None, str(exc)))
-        return out
-
-    results = _run_cells(list(zip(cells, seeds)), worker, jobs)
-
-    report = BenchmarkReport()
-    per_cell = {}
-    for cell_rows in results:
-        for gid, method, sampler, rep, value, error in cell_rows:
-            if error is None:
-                per_cell[(gid, sampler, rep, method)] = value
-                report.rows.append(ReportRow(gid, method, sampler, rep,
-                                             "auc", value))
-            else:
-                report.rows.append(ReportRow(gid, method, sampler, rep,
-                                             "error", error))
-    _append_means_and_rank(report, config, "auc", per_cell, config.samplers)
-    return report
-
-
 RECOMMENDATION = "recommendation"
 
 
-def run_recommendation(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkReport:
-    """VCMPR@C of every configured method on held-out positives.
+def _auc_cell(config: BenchmarkConfig, graph: Graph, sampler: str, seed):
+    """Split once; the split and negatives are shared by all methods."""
+    split = make_split(graph, config.beta, sampler, seed)
+    return lambda spec: auc_roc(
+        score_method(split.train, split.positives, spec),
+        score_method(split.train, split.negatives, spec))
 
-    The split is sampler-independent; rows carry "recommendation" in the
-    sampler column to keep the CSV schema uniform.
+
+def _vcmpr_cell(config: BenchmarkConfig, graph: Graph, sampler: str, seed):
+    """Split once; every method recommends on the same train graph."""
+    train, positives = split_positive(graph, config.beta, seed)
+    return lambda spec: vcmpr_at_c(top_c_recommend(train, spec, config.top_c),
+                                   positives, config.top_c)
+
+
+# task -> (metric name, cell set-up returning a per-method measurement)
+_TASK_CELLS = {
+    "link-prediction": ("auc", _auc_cell),
+    RECOMMENDATION: ("vcmpr", _vcmpr_cell),
+}
+
+
+def _run_tasks(config: BenchmarkConfig, tasks, jobs: int = 1) -> dict:
+    """Run the given tasks' cells in one pool; one report per task.
+
+    Every graph is loaded once. Link-prediction cells are (graph, sampler,
+    repeat); recommendation cells are (graph, repeat), with
+    "recommendation" in the sampler column to keep the CSV schema uniform.
     """
-    graphs = _load_graphs(config)
-    cells = [(gid, rep) for gid in graphs for rep in range(config.repeats)]
-    seeds = [derive_seed(config.master_seed, gid, RECOMMENDATION, rep)
-             for gid, rep in cells]
-    _check_seed_collisions(seeds)
+    graphs = {src.graph_id: src.load() for src in config.graphs}
+    sampler_keys = {task: (config.samplers if task == "link-prediction"
+                           else (RECOMMENDATION,)) for task in tasks}
+    cells = [(task, gid, sampler, rep)
+             for task in tasks
+             for gid in graphs
+             for sampler in sampler_keys[task]
+             for rep in range(config.repeats)]
+    seeds = [derive_seed(config.master_seed, gid, sampler, rep)
+             for _, gid, sampler, rep in cells]
+    if len(set(seeds)) != len(seeds):
+        raise RuntimeError("derived cell seeds collide; change master_seed")
 
     def worker(item):
-        (gid, rep), seed = item
-        out = []
+        (task, gid, sampler, rep), seed = item
+        metric, setup = _TASK_CELLS[task]
+
+        def row(spec, name, value):
+            return ReportRow(gid, spec.method, sampler, rep, name, value)
+
         try:
-            train, positives = split_positive(graphs[gid], config.beta, seed)
-        except Exception as exc:  # noqa: BLE001
-            return [(gid, m.method, rep, None, f"split failed: {exc}")
-                    for m in config.methods]
+            measure = setup(config, graphs[gid], sampler, seed)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            return [row(spec, "error", f"split failed: {exc}")
+                    for spec in config.methods]
+        rows = []
         for spec in config.methods:
             try:
-                recs = top_c_recommend(train, spec, config.top_c)
-                value = vcmpr_at_c(recs, positives, config.top_c)
-                out.append((gid, spec.method, rep, value, None))
+                rows.append(row(spec, metric, measure(spec)))
             except Exception as exc:  # noqa: BLE001
-                out.append((gid, spec.method, rep, None, str(exc)))
-        return out
+                rows.append(row(spec, "error", str(exc)))
+        return rows
 
-    results = _run_cells(list(zip(cells, seeds)), worker, jobs)
+    items = list(zip(cells, seeds))
+    if jobs <= 1:
+        results = [worker(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, items))
 
-    report = BenchmarkReport()
-    per_cell = {}
-    for cell_rows in results:
-        for gid, method, rep, value, error in cell_rows:
-            if error is None:
-                per_cell[(gid, RECOMMENDATION, rep, method)] = value
-                report.rows.append(ReportRow(gid, method, RECOMMENDATION, rep,
-                                             "vcmpr", value))
-            else:
-                report.rows.append(ReportRow(gid, method, RECOMMENDATION, rep,
-                                             "error", error))
-    _append_means_and_rank(report, config, "vcmpr", per_cell, [RECOMMENDATION])
-    return report
+    reports = {task: BenchmarkReport() for task in tasks}
+    for (task, *_), rows in zip(cells, results):
+        reports[task].rows.extend(rows)
+    for task, report in reports.items():
+        _append_means_and_rank(report, config, _TASK_CELLS[task][0],
+                               sampler_keys[task])
+    return reports
+
+
+def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkReport:
+    """AUC of every configured method under every configured sampler."""
+    return _run_tasks(config, ("link-prediction",), jobs)["link-prediction"]
+
+
+def run_recommendation(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkReport:
+    """VCMPR@C of every configured method on held-out positives."""
+    return _run_tasks(config, (RECOMMENDATION,), jobs)[RECOMMENDATION]
 
 
 def compare_rankings(report_a: BenchmarkReport, report_b: BenchmarkReport,
@@ -363,16 +362,8 @@ def compare_rankings(report_a: BenchmarkReport, report_b: BenchmarkReport,
 
 def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
     """Run the configured tasks and assemble rows plus a summary dict."""
-    reports = {}
-    if "link-prediction" in config.tasks:
-        reports["link-prediction"] = run_benchmark(config, jobs=jobs)
-    if RECOMMENDATION in config.tasks:
-        reports[RECOMMENDATION] = run_recommendation(config, jobs=jobs)
-
-    rows = []
-    for task in TASKS:
-        if task in reports:
-            rows.extend(reports[task].sorted_rows())
+    reports = _run_tasks(config, [t for t in TASKS if t in config.tasks], jobs)
+    rows = [row for report in reports.values() for row in report.sorted_rows()]
 
     rankings: dict = {}
     for report in reports.values():

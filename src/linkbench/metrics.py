@@ -80,31 +80,39 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50,
                            method=spec.method)
 
 
-def vcmpr_at_c(recs: Recommendations, positives, top_c: int) -> float:
-    """Mean over nodes with held-out partners of max(precision@C, recall@C).
+def vcmpr_per_node(recs: Recommendations, positives, top_c: int) -> list:
+    """Per-node VCMPR@C terms, ascending by node.
 
-    precision = hits / C, recall = hits / number of held-out partners; a
-    node scores the larger of the two. Nodes without any held-out partner
-    are skipped entirely.
+    One (node, hits, partners, precision, recall, vcmpr) tuple per node
+    with at least one held-out partner. precision = hits / C, recall =
+    hits / partners, and vcmpr is the larger of the two.
     """
     if top_c < 1:
         raise ValueError("top_c must be >= 1")
     pos = np.asarray(positives, dtype=np.int64)
     if pos.size == 0:
         raise ValueError("no node has a held-out positive partner")
-    pos = pos.reshape(-1, 2)
     partners: dict = {}
-    for i, j in pos:
+    for i, j in pos.reshape(-1, 2):
         partners.setdefault(int(i), set()).add(int(j))
         partners.setdefault(int(j), set()).add(int(i))
-    vals = []
+    rows = []
     for node, mates in sorted(partners.items()):
-        top = recs.items[node][:top_c]
-        hits = len(mates.intersection(top.tolist()))
+        hits = len(mates.intersection(recs.items[node][:top_c].tolist()))
         precision = hits / top_c
         recall = hits / len(mates)
-        vals.append(max(precision, recall))
-    return float(np.mean(vals))
+        rows.append((node, hits, len(mates), precision, recall,
+                     max(precision, recall)))
+    return rows
+
+
+def vcmpr_at_c(recs: Recommendations, positives, top_c: int) -> float:
+    """Mean over nodes with held-out partners of max(precision@C, recall@C).
+
+    Nodes without any held-out partner are skipped; see vcmpr_per_node.
+    """
+    return float(np.mean([row[-1] for row in
+                          vcmpr_per_node(recs, positives, top_c)]))
 
 
 def rbo(ranking_a, ranking_b, p: float) -> float:

@@ -8,11 +8,13 @@ batches are chunked internally to bound memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+
+from .graph import _as_pair_array
 
 METHODS = (
     "pa",
@@ -49,6 +51,7 @@ class MethodSpec:
             raise ValueError("walk_steps must be >= 2")
 
     def params(self) -> dict:
+        """Keyword arguments of this method's kernel."""
         if self.method == "lpi":
             return {"epsilon": self.epsilon}
         if self.method == "lrw":
@@ -56,33 +59,9 @@ class MethodSpec:
         return {}
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    pairs: np.ndarray
-    scores: np.ndarray
-    method: str
-    params: dict = field(default_factory=dict)
-
-
-def _check_pairs(train, pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an (m, 2) pair array, got shape {arr.shape}")
-    if arr.min() < 0 or arr.max() >= train.num_nodes:
-        raise ValueError("pair ids out of range for the train graph")
-    return arr
-
-
 def _score_pa(train, arr) -> np.ndarray:
     deg = train.degrees
     return (deg[arr[:, 0]] * deg[arr[:, 1]]).astype(np.float64)
-
-
-def score_pa(train, pairs) -> "ScoreTable":
-    """Degree-product scores. Degree-0 endpoints give score 0."""
-    return build_score_table(train, pairs, MethodSpec("pa"))
 
 
 def _chunks(total, step):
@@ -172,7 +151,7 @@ def _score_shortest_path(train, arr):
     return out
 
 
-def _score_lrw(train, arr, steps):
+def _score_lrw(train, arr, walk_steps):
     n = train.num_nodes
     m2 = 2.0 * train.num_edges
     if m2 == 0:
@@ -194,7 +173,7 @@ def _score_lrw(train, arr, steps):
     for lo, hi in _chunks(uniq.size, batch):
         cols = np.zeros((n, hi - lo), dtype=np.float64)
         cols[uniq[lo:hi], np.arange(hi - lo)] = 1.0
-        for _ in range(steps):
+        for _ in range(walk_steps):
             cols = PT @ cols
         sel = (col_of[:, 0] >= lo) & (col_of[:, 0] < hi)
         pi_fwd[sel] = cols[arr[sel, 1], col_of[sel, 0] - lo]
@@ -203,44 +182,30 @@ def _score_lrw(train, arr, steps):
     return q[arr[:, 0]] * pi_fwd + q[arr[:, 1]] * pi_bwd
 
 
-def score_heuristic(train, pairs, spec: MethodSpec) -> "ScoreTable":
-    """Neighborhood/path/walk scores as a table; rejects the pa method."""
-    if spec.method == "pa":
-        raise ValueError("use score_pa for the degree-product method")
-    return build_score_table(train, pairs, spec)
-
-
-def _heuristic_scores(train, arr, spec: MethodSpec) -> np.ndarray:
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    if spec.method == "cn":
-        return _score_cn(train, arr)
-    if spec.method == "jaccard":
-        return _score_jaccard(train, arr)
-    if spec.method == "adamic_adar":
-        return _score_adamic_adar(train, arr)
-    if spec.method == "resource_alloc":
-        return _score_resource_alloc(train, arr)
-    if spec.method == "lpi":
-        return _score_lpi(train, arr, spec.epsilon)
-    if spec.method == "shortest_path":
-        return _score_shortest_path(train, arr)
-    if spec.method == "lrw":
-        return _score_lrw(train, arr, spec.walk_steps)
-    raise ValueError(f"unknown method {spec.method!r}")
+_KERNELS = {
+    "pa": _score_pa,
+    "cn": _score_cn,
+    "jaccard": _score_jaccard,
+    "adamic_adar": _score_adamic_adar,
+    "resource_alloc": _score_resource_alloc,
+    "lpi": _score_lpi,
+    "shortest_path": _score_shortest_path,
+    "lrw": _score_lrw,
+}
 
 
 def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
-    """Raw score array for any method; the table-free work horse."""
-    arr = _check_pairs(train, pairs)
-    if spec.method == "pa":
-        return _score_pa(train, arr)
-    return _heuristic_scores(train, arr, spec)
+    """Scores of ``spec.method`` for an (m, 2) pair array on the train graph.
 
-
-def build_score_table(train, pairs, spec: MethodSpec) -> ScoreTable:
-    arr = _check_pairs(train, pairs)
-    scores = score_method(train, arr, spec)
-    if scores.size and not np.all(np.isfinite(scores)):
+    Raises ValueError for a malformed pair array or ids outside the train
+    graph, and ArithmeticError if the kernel yields a non-finite score.
+    """
+    arr = _as_pair_array(pairs)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    if arr.min() < 0 or arr.max() >= train.num_nodes:
+        raise ValueError("pair ids out of range for the train graph")
+    scores = _KERNELS[spec.method](train, arr, **spec.params())
+    if not np.all(np.isfinite(scores)):
         raise ArithmeticError(f"non-finite score produced by {spec.method}")
-    return ScoreTable(pairs=arr, scores=scores, method=spec.method, params=spec.params())
+    return scores

@@ -67,6 +67,7 @@ def split_positive(g: Graph, beta: float, seed) -> tuple[Graph, np.ndarray]:
 
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """One uint64 key ``min * n + max`` per unordered pair of ids below n."""
     lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.uint64)
     hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.uint64)
     return lo * np.uint64(n) + hi
@@ -106,10 +107,8 @@ def _rejection_sample(draw, forbidden: np.ndarray, n: int, count: int,
                 f"for {count} pairs; the graph is likely near-complete")
         attempts += size
         prop = draw(rng, size)
-        lo = np.minimum(prop[:, 0], prop[:, 1])
-        hi = np.maximum(prop[:, 0], prop[:, 1])
-        ok = lo != hi
-        keys = lo.astype(np.uint64) * np.uint64(n) + hi.astype(np.uint64)
+        ok = prop[:, 0] != prop[:, 1]
+        keys = _pair_keys(prop, n)
         pos = np.searchsorted(forbidden, keys)
         pos = np.minimum(pos, max(forbidden.size - 1, 0))
         if forbidden.size:
@@ -119,7 +118,7 @@ def _rejection_sample(draw, forbidden: np.ndarray, n: int, count: int,
             if key in taken:
                 continue
             taken.add(key)
-            accepted.append((int(lo[idx]), int(hi[idx])))
+            accepted.append(divmod(key, n))
             if len(accepted) == count:
                 break
     return np.asarray(accepted, dtype=np.int64)

@@ -169,3 +169,16 @@ def test_bad_arguments_exit_two(tmp_path):
     res = run_cli("split", "--graph", str(tmp_path / "missing.edges"),
                   "--out-prefix", str(tmp_path / "s"))
     assert res.returncode == 2
+
+
+def test_evaluate_bad_config_exits_two(tmp_path):
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps({
+        "graphs": [{"id": "p", "generator": {"kind": "price", "n": 50}}],
+        "methods": ["pa"]}))
+    res = run_cli("evaluate", "--config", str(cfg_file),
+                  "--out", str(tmp_path / "rows.csv"),
+                  "--summary", str(tmp_path / "summary.json"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "m_per_node" in res.stderr
+    assert "Traceback" not in res.stderr

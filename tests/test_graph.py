@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from linkbench import (EdgeListParseError, build_graph, canonical_edges,
-                       load_graph, read_edge_list, save_graph, write_edge_list)
+from linkbench import (EdgeListParseError, build_graph, read_edge_list,
+                       write_edge_list)
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -91,40 +91,6 @@ def test_has_edge_matches_linear_scan():
             assert g.has_edge(i, j) == (j in row)
 
 
-def test_lcc_triangle_plus_isolate():
-    g = build_graph(TRIANGLE, num_nodes=4)
-    sub, mapping = g.largest_connected_component()
-    assert sub.num_nodes == 3
-    assert sub.num_edges == 3
-    assert sorted(mapping) == [0, 1, 2]
-
-
-def test_lcc_tie_break_lowest_node_id():
-    # two disjoint edges: component containing node 0 wins
-    g = build_graph([(2, 3), (0, 1)])
-    sub, mapping = g.largest_connected_component()
-    assert sub.num_nodes == 2
-    assert set(mapping) == {0, 1}
-
-
-def test_lcc_connected_graph_identity_size():
-    g = build_graph([(0, 1), (1, 2), (2, 3)])
-    sub, mapping = g.largest_connected_component()
-    assert sub.num_nodes == g.num_nodes
-    assert sub.num_edges == g.num_edges
-
-
-def test_lcc_empty():
-    sub, mapping = build_graph([]).largest_connected_component()
-    assert sub.num_nodes == 0
-    assert mapping == {}
-
-
-def test_canonical_edges_orders_and_dedups():
-    out = canonical_edges([(2, 1), (1, 2), (0, 3)])
-    assert out.tolist() == [[0, 3], [1, 2]]
-
-
 def test_read_edge_list_whitespace(tmp_path):
     p = tmp_path / "a.txt"
     p.write_text("0 1\n1 2\n")
@@ -144,21 +110,26 @@ def test_read_edge_list_parse_error_names_line(tmp_path):
         read_edge_list(p)
 
 
+def test_read_edge_list_rejects_extra_columns(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text("0 1\n0 1 5\n")
+    with pytest.raises(EdgeListParseError, match="line 2.*got 3 tokens"):
+        read_edge_list(p)
+
+
 def test_write_read_round_trip(tmp_path):
-    pairs = canonical_edges([(5, 2), (0, 1), (2, 5), (3, 4)])
+    pairs = build_graph([(5, 2), (0, 1), (2, 5), (3, 4)]).edge_array()
     p = tmp_path / "d.txt"
     write_edge_list(pairs, p)
     back = read_edge_list(p)
-    assert np.array_equal(canonical_edges(back), pairs)
+    assert np.array_equal(back, pairs)
+    assert np.array_equal(build_graph(back).edge_array(), pairs)
 
 
-def test_save_load_round_trip(tmp_path):
-    g = build_graph([(0, 1), (1, 2), (0, 2), (2, 3)], num_nodes=6)
-    p = tmp_path / "g.npz"
-    save_graph(g, p)
-    h = load_graph(p)
-    assert h.num_nodes == g.num_nodes
-    assert np.array_equal(h.edge_array(), g.edge_array())
+def test_canonical_edges_orders_and_dedups():
+    # the canonical form lives in build_graph(...).edge_array()
+    out = build_graph([(2, 1), (1, 2), (0, 3)]).edge_array()
+    assert out.tolist() == [[0, 3], [1, 2]]
 
 
 def test_edge_array_is_canonical():

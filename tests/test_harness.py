@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,32 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         BenchmarkConfig.from_dict({"graphs": ["x"], "methods": ["pa"],
                                    "betaa": 0.5})
+
+
+PRICE = {"kind": "price", "n": 30, "m_per_node": 2}
+LFR = {"kind": "lfr", "n": 100, "tau1": 2.5, "tau2": 3.0, "mu": 0.1,
+       "avg_degree": 6.0, "max_degree": 20, "min_comm": 20, "max_comm": 50}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"graphs": [{"generator": dict(PRICE, sed=5)}]}, "unknown keys ['sed']"),
+    ({"graphs": [{"generator": {"kind": "price", "n": 30}}]},
+     "missing keys ['m_per_node']"),
+    ({"graphs": [{"generator": {k: v for k, v in LFR.items()
+                                if k != "tau2"}}]}, "missing keys ['tau2']"),
+    ({"graphs": [{"generator": dict(PRICE, kind="er")}]},
+     "unknown generator kind 'er'"),
+    ({"methods": [{"method": "lpi", "eps": 0.5}]}, "unknown keys ['eps']"),
+    ({"methods": [{"epsilon": 0.5}]}, "missing keys ['method']"),
+    ({"samplers": ["uniform", "uniform"]}, "samplers must be distinct"),
+    ({"tasks": ["recommendation", "recommendation"]}, "tasks must be distinct"),
+])
+def test_bad_config_raises_value_error_naming_the_key(change, message):
+    base = {"graphs": [{"generator": PRICE}, {"id": "l", "generator": LFR}],
+            "methods": ["pa"]}
+    BenchmarkConfig.from_dict(base)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BenchmarkConfig.from_dict({**base, **change})
 
 
 def test_config_validation():
@@ -270,6 +297,30 @@ def test_run_evaluation_summary_shape(tmp_path):
     summary_json = tmp_path / "summary.json"
     write_summary_json(summary, summary_json)
     assert json.loads(summary_json.read_text())["rankings"]["g"]
+
+
+def test_run_evaluation_loads_each_graph_once(monkeypatch):
+    cfg = BenchmarkConfig(graphs=(price_source("a", seed=1),
+                                  price_source("b", seed=2)),
+                          methods=(MethodSpec("pa"), MethodSpec("cn")),
+                          repeats=2, top_c=10, master_seed=41,
+                          tasks=("link-prediction", "recommendation"))
+    bench = run_benchmark(cfg)
+    rec = run_recommendation(cfg)
+    loads = []
+    load = GraphSource.load
+
+    def counting_load(self):
+        loads.append(self.graph_id)
+        return load(self)
+
+    monkeypatch.setattr(GraphSource, "load", counting_load)
+    reports = run_evaluation(cfg, jobs=2)["reports"]
+    assert sorted(loads) == ["a", "b"]
+    for got, want in ((reports["link-prediction"], bench),
+                      (reports["recommendation"], rec)):
+        assert got.sorted_rows() == want.sorted_rows()
+        assert got.rankings == want.rankings
 
 
 @pytest.mark.filterwarnings("ignore:discarded")

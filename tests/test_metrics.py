@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linkbench import (MethodSpec, auc_roc, build_graph, rbo, score_method,
-                       top_c_recommend, vcmpr_at_c)
+                       top_c_recommend, vcmpr_at_c, vcmpr_per_node)
 
 
 def brute_auc(pos, neg):
@@ -157,6 +157,19 @@ def test_vcmpr_hand_enumeration_toy():
     }
     want = sum(expected.values()) / len(expected)
     assert vcmpr_at_c(recs, positives, top_c=2) == pytest.approx(want)
+
+
+def test_vcmpr_per_node_terms_and_mean():
+    train = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6),
+                         (6, 7), (7, 4)], num_nodes=8)
+    positives = [(0, 2), (0, 5), (4, 6)]
+    recs = top_c_recommend(train, MethodSpec("cn"), top_c=2)
+    rows = vcmpr_per_node(recs, positives, top_c=2)
+    assert [r[0] for r in rows] == [0, 2, 4, 5, 6]
+    # node 0: partner 2 is its top candidate, partner 5 shares no neighbor
+    assert rows[0] == (0, 1, 2, 0.5, 0.5, 0.5)
+    assert vcmpr_at_c(recs, positives, top_c=2) == float(
+        np.mean([r[5] for r in rows]))
 
 
 def test_vcmpr_requires_positives():

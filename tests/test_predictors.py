@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linkbench import (METHODS, MethodSpec, build_graph, build_score_table,
-                       score_heuristic, score_method, score_pa)
+from linkbench import METHODS, MethodSpec, build_graph, predictors, score_method
 
 
 def random_graph(n, p, seed):
@@ -93,9 +92,7 @@ def test_scores_symmetric(method):
 def test_pa_hand_values():
     # degrees 3 and 4 multiply to 12
     g = build_graph([(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (4, 3), (4, 5)])
-    table = score_pa(g, [(0, 4)])
-    assert table.scores[0] == 12.0
-    assert table.method == "pa"
+    assert score_method(g, [(0, 4)], MethodSpec("pa")).tolist() == [12.0]
 
 
 def test_pa_isolated_endpoint_scores_zero():
@@ -161,19 +158,23 @@ def test_method_spec_validation():
         MethodSpec("lrw", walk_steps=1)
 
 
-def test_score_heuristic_rejects_pa():
-    g = build_graph([(0, 1)])
-    with pytest.raises(ValueError):
-        score_heuristic(g, [(0, 1)], MethodSpec("pa"))
-
-
 def test_build_score_table_shape_and_finiteness():
+    # score_method now carries the shape and finiteness checks of the old score table
     g = random_graph(30, 0.1, seed=2)
     pairs = [(0, 5), (3, 9), (10, 20)]
-    table = build_score_table(g, pairs, MethodSpec("lrw"))
-    assert table.scores.shape == (3,)
-    assert np.all(np.isfinite(table.scores))
-    assert table.params == {"walk_steps": 3}
+    spec = MethodSpec("lrw")
+    scores = score_method(g, pairs, spec)
+    assert scores.shape == (3,)
+    assert np.all(np.isfinite(scores))
+    assert spec.params() == {"walk_steps": 3}
+
+
+def test_non_finite_score_rejected(monkeypatch):
+    g = build_graph([(0, 1), (1, 2)])
+    monkeypatch.setitem(predictors._KERNELS, "cn",
+                        lambda train, arr: np.full(arr.shape[0], np.nan))
+    with pytest.raises(ArithmeticError, match="cn"):
+        score_method(g, [(0, 2)], MethodSpec("cn"))
 
 
 def test_pairs_out_of_range_rejected():
