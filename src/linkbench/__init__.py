@@ -27,7 +27,6 @@ from .sampling import (
 )
 from .predictors import METHODS, MethodSpec, score_method
 from .metrics import (
-    Recommendations,
     auc_roc,
     rbo,
     top_c_recommend,

@@ -328,34 +328,33 @@ def run_recommendation(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkRepor
 
 
 def compare_rankings(report_a: BenchmarkReport, report_b: BenchmarkReport,
-                     p: float, sampler_a: str | None = None,
-                     sampler_b: str | None = None) -> dict:
+                     p: float, sampler_a: str | None = None) -> dict:
     """Per-graph RBO between the method rankings of two reports.
 
-    Each report must be narrowed to one sampler (inferred when it only has
-    one). Both reports must rank the same graphs and the same method set.
+    Report a is narrowed to sampler_a, which may be left out when it ranks
+    under one sampler only; report b must rank under exactly one sampler.
+    Graphs that only one report ranks are left out, so per_graph names
+    exactly the graphs both rank. Raises ValueError when they share none.
 
     Returns:
         {"per_graph": {graph_id: rbo}, "mean": float}
     """
-    def narrow(report, sampler, name):
-        samplers = report.ranking_samplers()
-        if sampler is None:
-            if len(samplers) != 1:
-                raise ValueError(
-                    f"report {name} has rankings for {samplers}; pass "
-                    f"sampler_{name} to pick one")
-            sampler = samplers[0]
-        elif sampler not in samplers:
-            raise ValueError(f"report {name} has no rankings for {sampler!r}")
-        return report.rankings_for(sampler)
-
-    ranks_a = narrow(report_a, sampler_a, "a")
-    ranks_b = narrow(report_b, sampler_b, "b")
-    if set(ranks_a) != set(ranks_b):
-        raise ValueError("reports rank different graph sets")
-    per_graph = {gid: rbo(ranks_a[gid], ranks_b[gid], p)
-                 for gid in sorted(ranks_a)}
+    samplers_a = report_a.ranking_samplers()
+    if sampler_a is None and len(samplers_a) == 1:
+        sampler_a = samplers_a[0]
+    if sampler_a not in samplers_a:
+        raise ValueError(f"report a has rankings for {samplers_a}; pass "
+                         f"sampler_a naming one of them, not {sampler_a!r}")
+    samplers_b = report_b.ranking_samplers()
+    if len(samplers_b) != 1:
+        raise ValueError(f"report b has rankings for {samplers_b}; "
+                         f"it must rank under one sampler")
+    ranks_a = report_a.rankings_for(sampler_a)
+    ranks_b = report_b.rankings_for(samplers_b[0])
+    shared = sorted(set(ranks_a) & set(ranks_b))
+    if not shared:
+        raise ValueError("reports rank no graph in common")
+    per_graph = {gid: rbo(ranks_a[gid], ranks_b[gid], p) for gid in shared}
     return {"per_graph": per_graph,
             "mean": float(np.mean(list(per_graph.values())))}
 
@@ -380,12 +379,15 @@ def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
     }
 
     if "link-prediction" in reports and RECOMMENDATION in reports:
-        comparisons = {}
-        for sampler in reports["link-prediction"].ranking_samplers():
-            comparisons[f"{sampler}_vs_recommendation"] = compare_rankings(
-                reports["link-prediction"], reports[RECOMMENDATION],
-                config.rbo_p, sampler_a=sampler)
-        summary["rbo"] = comparisons
+        # a graph whose cells all failed in one task has no ranking there;
+        # a sampler sharing no ranked graph with recommendation is left out
+        lp, rec = reports["link-prediction"], reports[RECOMMENDATION]
+        rec_graphs = set(rec.rankings_for(RECOMMENDATION))
+        summary["rbo"] = {
+            f"{sampler}_vs_recommendation": compare_rankings(
+                lp, rec, config.rbo_p, sampler_a=sampler)
+            for sampler in lp.ranking_samplers()
+            if rec_graphs & set(lp.rankings_for(sampler))}
 
     return {"rows": rows, "summary": summary, "reports": reports}
 

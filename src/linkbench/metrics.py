@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import rankdata
 
@@ -27,61 +25,43 @@ def auc_roc(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
-@dataclass(frozen=True)
-class Recommendations:
-    """Per-node ordered candidate lists of length <= top_c.
+# sources scored per score_method call in top_c_recommend
+_REC_BLOCK = 512
 
-    items[i] holds candidate node ids for source i, best first; scores[i]
-    the matching scores. Candidates never include i itself or its train
-    neighbors. Ties are broken by ascending node id.
+
+def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
+    """Per-node top-C candidate lists from exhaustive scoring.
+
+    Returns one int64 array per node: items[i] holds candidate ids for
+    source i, best first, and has length min(top_c, n - 1 - deg i).
+    Candidates never include i itself or its train neighbours, and ties are
+    broken by ascending node id. Each block of sources is scored against
+    all n nodes in one score_method call; self and neighbour pairs are then
+    masked to +inf in the negated scores, and one stable argsort per block
+    orders the rest. Peak memory is O(block * n) on top of the scorer's.
     """
-
-    items: list
-    scores: list
-    top_c: int
-    method: str
-
-
-def top_c_recommend(train, spec: MethodSpec, top_c: int = 50,
-                    block: int = 512) -> Recommendations:
-    """Exhaustively score all eligible candidates per node and keep the top C."""
     if top_c < 1:
         raise ValueError("top_c must be >= 1")
     n = train.num_nodes
-    items: list = [None] * n
-    scores_out: list = [None] * n
-    all_ids = np.arange(n, dtype=np.int64)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        pair_blocks = []
-        cand_blocks = []
-        for i in range(lo, hi):
-            mask = np.ones(n, dtype=bool)
-            mask[i] = False
-            mask[train.neighbors(i)] = False
-            cand = all_ids[mask]
-            cand_blocks.append(cand)
-            pair_blocks.append(
-                np.stack([np.full(cand.size, i, dtype=np.int64), cand], axis=1))
-        pairs = (np.concatenate(pair_blocks)
-                 if pair_blocks else np.zeros((0, 2), dtype=np.int64))
-        vals = score_method(train, pairs, spec)
-        pos = 0
-        for i in range(lo, hi):
-            cand = cand_blocks[i - lo]
-            v = vals[pos:pos + cand.size]
-            pos += cand.size
-            # stable sort on descending score keeps ascending-id tie order,
-            # because cand is already ascending
-            order = np.argsort(-v, kind="stable")[:top_c]
-            items[i] = cand[order]
-            scores_out[i] = v[order]
-    return Recommendations(items=items, scores=scores_out, top_c=top_c,
-                           method=spec.method)
+    deg = train.degrees
+    items: list = []
+    for lo in range(0, n, _REC_BLOCK):
+        hi = min(lo + _REC_BLOCK, n)
+        rows = np.arange(hi - lo)
+        pairs = np.stack([np.repeat(np.arange(lo, hi), n),
+                          np.tile(np.arange(n), hi - lo)], axis=1)
+        neg = -score_method(train, pairs, spec).reshape(hi - lo, n)
+        neg[rows, rows + lo] = np.inf
+        neg[np.repeat(rows, deg[lo:hi]),
+            train.indices[train.indptr[lo]:train.indptr[hi]]] = np.inf
+        order = np.argsort(neg, axis=1, kind="stable")
+        keep = np.minimum(top_c, n - 1 - deg[lo:hi])
+        items.extend(order[r, :k] for r, k in zip(rows, keep))
+    return items
 
 
-def vcmpr_per_node(recs: Recommendations, positives, top_c: int) -> list:
-    """Per-node VCMPR@C terms, ascending by node.
+def vcmpr_per_node(items: list, positives, top_c: int) -> list:
+    """Per-node VCMPR@C terms of top_c_recommend's lists, ascending by node.
 
     One (node, hits, partners, precision, recall, vcmpr) tuple per node
     with at least one held-out partner. precision = hits / C, recall =
@@ -98,7 +78,7 @@ def vcmpr_per_node(recs: Recommendations, positives, top_c: int) -> list:
         partners.setdefault(int(j), set()).add(int(i))
     rows = []
     for node, mates in sorted(partners.items()):
-        hits = len(mates.intersection(recs.items[node][:top_c].tolist()))
+        hits = len(mates.intersection(items[node][:top_c].tolist()))
         precision = hits / top_c
         recall = hits / len(mates)
         rows.append((node, hits, len(mates), precision, recall,
@@ -106,13 +86,13 @@ def vcmpr_per_node(recs: Recommendations, positives, top_c: int) -> list:
     return rows
 
 
-def vcmpr_at_c(recs: Recommendations, positives, top_c: int) -> float:
+def vcmpr_at_c(items: list, positives, top_c: int) -> float:
     """Mean over nodes with held-out partners of max(precision@C, recall@C).
 
     Nodes without any held-out partner are skipped; see vcmpr_per_node.
     """
     return float(np.mean([row[-1] for row in
-                          vcmpr_per_node(recs, positives, top_c)]))
+                          vcmpr_per_node(items, positives, top_c)]))
 
 
 def rbo(ranking_a, ranking_b, p: float) -> float:

@@ -69,18 +69,22 @@ def _chunks(total, step):
         yield lo, min(lo + step, total)
 
 
-def _overlap_sum(A, B, src, trg):
-    # sum_z A[src, z] * B[trg, z] per row; index-ascending accumulation,
-    # so the result is independent of endpoint order
-    return np.asarray(A[src].multiply(B[trg]).sum(axis=1)).ravel()
+def _overlap_sum(A, B, arr):
+    """sum_z A[i, z] * B[j, z] per pair (i, j), _PAIR_CHUNK pairs at a time.
+
+    Accumulation is index-ascending, so the result is independent of
+    endpoint order.
+    """
+    out = np.empty(arr.shape[0], dtype=np.float64)
+    for lo, hi in _chunks(arr.shape[0], _PAIR_CHUNK):
+        rows = A[arr[lo:hi, 0]].multiply(B[arr[lo:hi, 1]])
+        out[lo:hi] = np.asarray(rows.sum(axis=1)).ravel()
+    return out
 
 
 def _score_cn(train, arr):
     A = train.to_scipy_csr()
-    out = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in _chunks(arr.shape[0], _PAIR_CHUNK):
-        out[lo:hi] = _overlap_sum(A, A, arr[lo:hi, 0], arr[lo:hi, 1])
-    return out
+    return _overlap_sum(A, A, arr)
 
 
 def _score_jaccard(train, arr):
@@ -98,11 +102,7 @@ def _column_weighted(A, weights):
 
 def _score_weighted_cn(train, arr, weights):
     A = train.to_scipy_csr()
-    B = _column_weighted(A, weights)
-    out = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in _chunks(arr.shape[0], _PAIR_CHUNK):
-        out[lo:hi] = _overlap_sum(A, B, arr[lo:hi, 0], arr[lo:hi, 1])
-    return out
+    return _overlap_sum(A, _column_weighted(A, weights), arr)
 
 
 def _score_adamic_adar(train, arr):
@@ -127,7 +127,7 @@ def _score_lpi(train, arr, epsilon):
     for lo, hi in _chunks(arr.shape[0], 1 << 15):
         src = arr[lo:hi, 0]
         trg = arr[lo:hi, 1]
-        paths2 = _overlap_sum(A, A, src, trg)
+        paths2 = _overlap_sum(A, A, arr[lo:hi])
         # walk counts of length 3: rows of A^2 for the sources, dotted with
         # the target rows; integer-valued, so exact in float64
         paths3 = np.asarray((A[src] @ A).multiply(A[trg]).sum(axis=1)).ravel()
@@ -163,7 +163,7 @@ def _score_lrw(train, arr, walk_steps):
     inv[nz] = 1.0 / deg[nz]
     A = train.to_scipy_csr()
     # P = D^-1 A; with A symmetric, P^T is A with columns scaled by 1/deg
-    PT = sparse.csr_matrix(A.multiply(inv[np.newaxis, :]))
+    PT = _column_weighted(A, inv)
 
     uniq, col_of = np.unique(arr, return_inverse=True)
     col_of = col_of.reshape(arr.shape)

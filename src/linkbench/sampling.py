@@ -8,8 +8,8 @@ degree-corrected sampler draws endpoints proportionally to their degree in
 the original graph, so negatives match the positives' endpoint law and the
 benchmark stops rewarding degree alone.
 
-Both samplers reject self-pairs, pairs present in the graph or the positive
-set, and pairs already sampled, and both are deterministic per seed.
+Both samplers reject self-pairs, pairs already sampled and every edge of the
+original graph, held-out positives included; both are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -73,33 +73,24 @@ def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return lo * np.uint64(n) + hi
 
 
-def _forbidden_keys(g: Graph, positives) -> np.ndarray:
-    keys = [_pair_keys(g.edge_array(), g.num_nodes)]
-    if positives is not None:
-        pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-        if pos.size:
-            keys.append(_pair_keys(pos, g.num_nodes))
-    return np.unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.uint64)
+def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
+    """Draw the first count distinct non-edges of g, in proposal order.
 
-
-def _rejection_sample(draw, forbidden: np.ndarray, n: int, count: int,
-                      seed) -> np.ndarray:
-    """Draw distinct valid pairs until count accepted.
-
-    draw(rng, size) yields an (size, 2) int array of endpoint proposals. A
-    proposal is rejected if the endpoints coincide, the pair is forbidden,
-    or it was already accepted. Raises SaturationError past 1e4 * count
+    draw(rng, size) yields an (size, 2) int array of endpoint proposals;
+    self-pairs are rejected. Raises SaturationError past 1e4 * count
     proposals.
     """
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)
+    n = g.num_nodes
+    # edge_array is lexicographic with i < j, so its keys are sorted
+    forbidden = _pair_keys(g.edge_array(), n)
     rng = np.random.default_rng(seed)
     budget = 10_000 * count
     attempts = 0
-    accepted: list = []
-    taken: set = set()
-    while len(accepted) < count:
-        size = max(1024, 2 * (count - len(accepted)))
+    accepted = np.zeros(0, dtype=np.uint64)
+    while accepted.size < count:
+        size = max(1024, 2 * (count - accepted.size))
         size = min(size, budget - attempts)
         if size <= 0:
             raise SaturationError(
@@ -107,45 +98,37 @@ def _rejection_sample(draw, forbidden: np.ndarray, n: int, count: int,
                 f"for {count} pairs; the graph is likely near-complete")
         attempts += size
         prop = draw(rng, size)
-        ok = prop[:, 0] != prop[:, 1]
-        keys = _pair_keys(prop, n)
-        pos = np.searchsorted(forbidden, keys)
-        pos = np.minimum(pos, max(forbidden.size - 1, 0))
+        keys = _pair_keys(prop, n)[prop[:, 0] != prop[:, 1]]
         if forbidden.size:
-            ok &= forbidden[pos] != keys
-        for idx in np.flatnonzero(ok):
-            key = int(keys[idx])
-            if key in taken:
-                continue
-            taken.add(key)
-            accepted.append(divmod(key, n))
-            if len(accepted) == count:
-                break
-    return np.asarray(accepted, dtype=np.int64)
+            pos = np.minimum(np.searchsorted(forbidden, keys), forbidden.size - 1)
+            keys = keys[forbidden[pos] != keys]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        keys = keys[~np.isin(keys, accepted)]
+        accepted = np.concatenate([accepted, keys[:count - accepted.size]])
+    return np.stack(np.divmod(accepted, np.uint64(n)), axis=1).astype(np.int64)
 
 
-def sample_negative_uniform(g: Graph, positives, count: int, seed) -> np.ndarray:
-    """Sample distinct non-edges with endpoints uniform over the node set."""
+def sample_negative_uniform(g: Graph, count: int, seed) -> np.ndarray:
+    """Sample distinct non-edges of g with endpoints uniform over its nodes."""
     n = g.num_nodes
     available = n * (n - 1) // 2 - g.num_edges
     if count > available:
         raise ValueError(
             f"requested {count} negatives but only {available} non-edges exist")
-    forbidden = _forbidden_keys(g, positives)
 
     def draw(rng, size):
         return rng.integers(0, n, size=(size, 2), dtype=np.int64)
 
-    return _rejection_sample(draw, forbidden, n, count, seed)
+    return _rejection_sample(draw, g, count, seed)
 
 
-def sample_negative_degree_corrected(g: Graph, positives, count: int,
-                                     seed) -> np.ndarray:
-    """Sample distinct non-edges with endpoints drawn proportionally to degree.
+def sample_negative_degree_corrected(g: Graph, count: int, seed) -> np.ndarray:
+    """Sample distinct non-edges of g, endpoints drawn proportional to degree.
 
-    Endpoint probabilities use the original graph's degrees, which is
-    equivalent to drawing uniformly from the multiset that lists each node
-    once per incident edge. Nodes of degree 0 are never selected.
+    Endpoint probabilities use g's degrees, which is equivalent to drawing
+    uniformly from the multiset that lists each node once per incident
+    edge. Nodes of degree 0 are never selected.
     """
     n = g.num_nodes
     deg = g.degrees
@@ -164,8 +147,7 @@ def sample_negative_degree_corrected(g: Graph, positives, count: int,
         r = rng.integers(0, total, size=(size, 2), dtype=np.int64)
         return np.searchsorted(cum, r, side="right").astype(np.int64)
 
-    forbidden = _forbidden_keys(g, positives)
-    return _rejection_sample(draw, forbidden, n, count, seed)
+    return _rejection_sample(draw, g, count, seed)
 
 
 _SAMPLERS = {
@@ -187,7 +169,7 @@ def make_split(g: Graph, beta: float, sampler: str, seed: int) -> EdgeSplit:
     split_seed, neg_seed = (int(s) for s in
                             np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64))
     train, positives = split_positive(g, beta, split_seed)
-    negatives = _SAMPLERS[sampler](g, positives, positives.shape[0], neg_seed)
+    negatives = _SAMPLERS[sampler](g, positives.shape[0], neg_seed)
     return EdgeSplit(train=train, positives=positives, negatives=negatives,
                      beta=beta, sampler=sampler, seed=int(seed))
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 from linkbench import (MethodSpec, build_graph, score_method, split_positive,
                        write_edge_list)
+from linkbench.cli import main
 from linkbench.harness import (BenchmarkConfig, BenchmarkReport, GraphSource,
                                compare_rankings, derive_seed, run_benchmark,
                                run_evaluation, run_recommendation,
@@ -158,6 +160,48 @@ def test_benchmark_isolates_failing_graph(tmp_path):
     good_alone = {(r.repeat, r.metric, r.value)
                   for r in run_benchmark(alone).rows if r.graph == "good"}
     assert good_mixed == good_alone
+
+
+def test_evaluate_both_tasks_isolates_failing_graph(tmp_path):
+    # K8 recommends fine but fails every link-prediction cell, so only the
+    # recommendation report ranks it; rbo compares the graphs both rank
+    k8 = tmp_path / "k8.edges"
+    write_edge_list(np.array([(i, j) for i in range(8)
+                              for j in range(i + 1, 8)]), k8)
+    config = {"graphs": [{"id": "k8", "path": str(k8)},
+                         {"id": "a", "generator": {"kind": "price", "n": 120,
+                                                   "m_per_node": 3, "seed": 1}},
+                         {"id": "b", "generator": {"kind": "price", "n": 120,
+                                                   "m_per_node": 3, "seed": 2}}],
+              "methods": ["pa", "cn"], "repeats": 2, "top_c": 5,
+              "master_seed": 43,
+              "tasks": ["link-prediction", "recommendation"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rows_csv, summary_json = tmp_path / "rows.csv", tmp_path / "summary.json"
+    assert main(["evaluate", "--config", str(cfg_path), "--out",
+                 str(rows_csv), "--summary", str(summary_json)]) == 0
+    with open(rows_csv, encoding="utf-8") as fh:
+        k8_rows = [r for r in csv.DictReader(fh) if r["graph"] == "k8"]
+    lp_rows = [r for r in k8_rows if r["sampler"] != "recommendation"]
+    assert lp_rows and all(r["metric"] == "error" for r in lp_rows)
+    assert {r["metric"] for r in k8_rows} - {"error"} == {"vcmpr",
+                                                         "vcmpr_mean"}
+    summary = json.loads(summary_json.read_text())
+    assert set(summary["rbo"]) == {"uniform_vs_recommendation",
+                                   "degree-corrected_vs_recommendation"}
+    for cmp in summary["rbo"].values():
+        assert set(cmp["per_graph"]) == {"a", "b"}
+
+
+def test_compare_rankings_uses_shared_graphs():
+    a = BenchmarkReport(rankings={("g1", "uniform"): ["pa", "cn"],
+                                  ("g2", "uniform"): ["pa", "cn"]})
+    b = BenchmarkReport(rankings={("g2", "recommendation"): ["cn", "pa"],
+                                  ("g3", "recommendation"): ["pa", "cn"]})
+    out = compare_rankings(a, b, p=0.5)
+    assert out["per_graph"] == {"g2": pytest.approx(0.5)}
+    assert out["mean"] == pytest.approx(0.5)
 
 
 def cliques_graph(num_cliques=8, size=6):

@@ -1,11 +1,13 @@
 import collections
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from linkbench import (SaturationError, build_graph, endpoint_degree_histogram,
                        generate_price, make_split, sample_negative_degree_corrected,
-                       sample_negative_uniform, split_positive)
+                       sample_negative_uniform, sampling, split_positive)
+from linkbench.sampling import _pair_keys
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 PATH = [(0, 1), (1, 2)]
@@ -57,20 +59,20 @@ def test_split_uniform_over_edges():
 def test_uniform_negative_unique_non_edge():
     g = build_graph(PATH)
     for seed in range(5):
-        neg = sample_negative_uniform(g, np.empty((0, 2), dtype=np.int64), 1, seed)
+        neg = sample_negative_uniform(g, 1, seed)
         assert as_set(neg) == {(0, 2)}
 
 
 def test_uniform_negative_exhausts_star():
     g = build_graph([(0, 1), (0, 2), (0, 3)])
-    neg = sample_negative_uniform(g, np.empty((0, 2), dtype=np.int64), 3, seed=4)
+    neg = sample_negative_uniform(g, 3, seed=4)
     assert as_set(neg) == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_uniform_negative_count_exceeding_supply_is_parameter_error():
     g = build_graph(TRIANGLE)      # complete: no non-edges at all
     with pytest.raises(ValueError):
-        sample_negative_uniform(g, np.empty((0, 2), dtype=np.int64), 1, seed=0)
+        sample_negative_uniform(g, 1, seed=0)
 
 
 def test_uniform_negative_rejection_budget_saturates():
@@ -80,14 +82,13 @@ def test_uniform_negative_rejection_budget_saturates():
     pairs.remove((7, 123))
     g = build_graph(pairs, num_nodes=500)
     with pytest.raises(SaturationError):
-        sample_negative_uniform(g, np.empty((0, 2), dtype=np.int64), 1, seed=0)
+        sample_negative_uniform(g, 1, seed=0)
 
 
 def test_degree_corrected_unique_non_edge():
     g = build_graph(PATH)
     for seed in range(5):
-        neg = sample_negative_degree_corrected(
-            g, np.empty((0, 2), dtype=np.int64), 1, seed)
+        neg = sample_negative_degree_corrected(g, 1, seed)
         assert as_set(neg) == {(0, 2)}
 
 
@@ -95,8 +96,7 @@ def test_degree_corrected_star_leaf_pairs_only():
     g = build_graph([(0, 1), (0, 2), (0, 3)])
     seen = set()
     for seed in range(60):
-        neg = sample_negative_degree_corrected(
-            g, np.empty((0, 2), dtype=np.int64), 1, seed)
+        neg = sample_negative_degree_corrected(g, 1, seed)
         seen |= as_set(neg)
     assert seen == {(1, 2), (1, 3), (2, 3)}
 
@@ -104,14 +104,76 @@ def test_degree_corrected_star_leaf_pairs_only():
 def test_degree_corrected_rejects_edgeless_graph():
     g = build_graph([], num_nodes=4)
     with pytest.raises(ValueError):
-        sample_negative_degree_corrected(
-            g, np.empty((0, 2), dtype=np.int64), 1, seed=0)
+        sample_negative_degree_corrected(g, 1, seed=0)
 
 
 def random_graph(n, m, seed):
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, n, size=(m, 2))
     return build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes=n)
+
+
+def reference_rejection_sample(draw, g, count, seed):
+    """The per-key acceptance loop the vectorised sampler replaced."""
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    n = g.num_nodes
+    forbidden = np.unique(_pair_keys(g.edge_array(), n))
+    rng = np.random.default_rng(seed)
+    budget = 10_000 * count
+    attempts = 0
+    accepted: list = []
+    taken: set = set()
+    while len(accepted) < count:
+        size = max(1024, 2 * (count - len(accepted)))
+        size = min(size, budget - attempts)
+        if size <= 0:
+            raise SaturationError("proposal budget exhausted")
+        attempts += size
+        prop = draw(rng, size)
+        ok = prop[:, 0] != prop[:, 1]
+        keys = _pair_keys(prop, n)
+        pos = np.searchsorted(forbidden, keys)
+        pos = np.minimum(pos, max(forbidden.size - 1, 0))
+        if forbidden.size:
+            ok &= forbidden[pos] != keys
+        for idx in np.flatnonzero(ok):
+            key = int(keys[idx])
+            if key in taken:
+                continue
+            taken.add(key)
+            accepted.append(divmod(key, n))
+            if len(accepted) == count:
+                break
+    return np.asarray(accepted, dtype=np.int64)
+
+
+def reference_sample(fn, g, count, seed):
+    """fn's negatives with the reference loop doing the acceptance."""
+    with mock.patch.object(sampling, "_rejection_sample",
+                           reference_rejection_sample):
+        return fn(g, count, seed)
+
+
+SAMPLER_FNS = (sample_negative_uniform, sample_negative_degree_corrected)
+
+
+@pytest.mark.parametrize("fn", SAMPLER_FNS)
+def test_negatives_equal_reference_loop(fn):
+    # sparse to dense random graphs, so acceptance spans one batch or many
+    for seed, (n, m, count) in enumerate([(300, 900, 700), (2000, 6000, 3000),
+                                          (60, 1500, 250), (40, 900, 100)]):
+        g = random_graph(n, m, seed)
+        got = fn(g, count, seed=seed + 7)
+        assert np.array_equal(got, reference_sample(fn, g, count, seed + 7))
+    # K_40 minus 30 edges: every non-edge is requested
+    pairs = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+    missing = pairs[::26]
+    g = build_graph([p for k, p in enumerate(pairs) if k % 26], num_nodes=40)
+    for seed in range(3):
+        got = fn(g, len(missing), seed)
+        assert np.array_equal(got, reference_sample(fn, g, len(missing), seed))
+        assert as_set(got) == set(missing)
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "degree-corrected"])
@@ -121,7 +183,7 @@ def test_negatives_valid_on_random_graphs(sampler):
     for seed in range(5):
         g = random_graph(int(300 + 200 * seed), 1200, seed)
         count = 2000
-        neg = fn(g, np.empty((0, 2), dtype=np.int64), count, seed=seed + 50)
+        neg = fn(g, count, seed=seed + 50)
         assert neg.shape == (count, 2)
         pairs = as_set(neg)
         assert len(pairs) == count                       # no duplicates
@@ -130,26 +192,14 @@ def test_negatives_valid_on_random_graphs(sampler):
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "degree-corrected"])
-def test_negatives_avoid_positives_argument(sampler):
-    fn = (sample_negative_uniform if sampler == "uniform"
-          else sample_negative_degree_corrected)
-    g = random_graph(40, 100, seed=9)
-    # forbid a batch of current non-edges as if they were held-out edges
-    non_edges = [(i, j) for i in range(40) for j in range(i + 1, 40)
-                 if not g.has_edge(i, j)][:30]
-    neg = fn(g, np.asarray(non_edges), 100, seed=1)
-    assert not (as_set(neg) & set(non_edges))
-
-
-@pytest.mark.parametrize("sampler", ["uniform", "degree-corrected"])
 def test_negative_determinism(sampler):
     fn = (sample_negative_uniform if sampler == "uniform"
           else sample_negative_degree_corrected)
     g = random_graph(500, 3000, seed=3)
-    a = fn(g, np.empty((0, 2), dtype=np.int64), 500, seed=42)
-    b = fn(g, np.empty((0, 2), dtype=np.int64), 500, seed=42)
+    a = fn(g, 500, seed=42)
+    b = fn(g, 500, seed=42)
     assert np.array_equal(a, b)
-    c = fn(g, np.empty((0, 2), dtype=np.int64), 500, seed=43)
+    c = fn(g, 500, seed=43)
     assert not np.array_equal(a, c)
 
 
@@ -180,8 +230,7 @@ def test_uniform_positive_endpoints_follow_size_bias():
 
 def test_degree_corrected_negatives_match_size_biased_law():
     g = generate_price(5000, 8, seed=8)
-    neg = sample_negative_degree_corrected(
-        g, np.empty((0, 2), dtype=np.int64), 20_000, seed=9)
+    neg = sample_negative_degree_corrected(g, 20_000, seed=9)
     h = endpoint_degree_histogram(neg, g)
     deg = g.degrees
     pk = np.bincount(deg, minlength=h.size).astype(np.float64)
