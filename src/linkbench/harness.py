@@ -333,12 +333,17 @@ def compare_rankings(report_a: BenchmarkReport, report_b: BenchmarkReport,
 
     Report a is narrowed to sampler_a, which may be left out when it ranks
     under one sampler only; report b must rank under exactly one sampler.
-    Graphs that only one report ranks are left out, so per_graph names
-    exactly the graphs both rank. Raises ValueError when they share none.
-
-    Returns:
-        {"per_graph": {graph_id: rbo}, "mean": float}
+    Returns {"per_graph": {graph_id: rbo}, "mean": float}, where per_graph
+    names exactly the graphs both rank. Raises ValueError if they share none.
     """
+    out = _compare_shared(report_a, report_b, p, sampler_a)
+    if out is None:
+        raise ValueError("reports rank no graph in common")
+    return out
+
+
+def _compare_shared(report_a, report_b, p, sampler_a) -> dict | None:
+    """compare_rankings' result, or None when the reports share no graph."""
     samplers_a = report_a.ranking_samplers()
     if sampler_a is None and len(samplers_a) == 1:
         sampler_a = samplers_a[0]
@@ -346,14 +351,14 @@ def compare_rankings(report_a: BenchmarkReport, report_b: BenchmarkReport,
         raise ValueError(f"report a has rankings for {samplers_a}; pass "
                          f"sampler_a naming one of them, not {sampler_a!r}")
     samplers_b = report_b.ranking_samplers()
-    if len(samplers_b) != 1:
+    if len(samplers_b) > 1:
         raise ValueError(f"report b has rankings for {samplers_b}; "
                          f"it must rank under one sampler")
     ranks_a = report_a.rankings_for(sampler_a)
-    ranks_b = report_b.rankings_for(samplers_b[0])
+    ranks_b = report_b.rankings_for(samplers_b[0]) if samplers_b else {}
     shared = sorted(set(ranks_a) & set(ranks_b))
     if not shared:
-        raise ValueError("reports rank no graph in common")
+        return None
     per_graph = {gid: rbo(ranks_a[gid], ranks_b[gid], p) for gid in shared}
     return {"per_graph": per_graph,
             "mean": float(np.mean(list(per_graph.values())))}
@@ -382,12 +387,10 @@ def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
         # a graph whose cells all failed in one task has no ranking there;
         # a sampler sharing no ranked graph with recommendation is left out
         lp, rec = reports["link-prediction"], reports[RECOMMENDATION]
-        rec_graphs = set(rec.rankings_for(RECOMMENDATION))
-        summary["rbo"] = {
-            f"{sampler}_vs_recommendation": compare_rankings(
-                lp, rec, config.rbo_p, sampler_a=sampler)
-            for sampler in lp.ranking_samplers()
-            if rec_graphs & set(lp.rankings_for(sampler))}
+        compared = {sampler: _compare_shared(lp, rec, config.rbo_p, sampler)
+                    for sampler in lp.ranking_samplers()}
+        summary["rbo"] = {f"{sampler}_vs_recommendation": out
+                          for sampler, out in compared.items() if out}
 
     return {"rows": rows, "summary": summary, "reports": reports}
 

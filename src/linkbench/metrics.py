@@ -38,7 +38,8 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     broken by ascending node id. Each block of sources is scored against
     all n nodes in one score_method call; self and neighbour pairs are then
     masked to +inf in the negated scores, and one stable argsort per block
-    orders the rest. Peak memory is O(block * n) on top of the scorer's.
+    orders the rest. Peak memory is O(block * n) on top of the scorer's; the
+    top-C columns are copied out, so the result holds O(n * top_c) ids.
     """
     if top_c < 1:
         raise ValueError("top_c must be >= 1")
@@ -54,9 +55,9 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
         neg[rows, rows + lo] = np.inf
         neg[np.repeat(rows, deg[lo:hi]),
             train.indices[train.indptr[lo]:train.indptr[hi]]] = np.inf
-        order = np.argsort(neg, axis=1, kind="stable")
+        top = np.argsort(neg, axis=1, kind="stable")[:, :top_c].copy()
         keep = np.minimum(top_c, n - 1 - deg[lo:hi])
-        items.extend(order[r, :k] for r, k in zip(rows, keep))
+        items.extend(top[r, :k] for r, k in zip(rows, keep))
     return items
 
 

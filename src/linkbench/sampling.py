@@ -80,8 +80,6 @@ def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
     self-pairs are rejected. Raises SaturationError past 1e4 * count
     proposals.
     """
-    if count == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     n = g.num_nodes
     # edge_array is lexicographic with i < j, so its keys are sorted
     forbidden = _pair_keys(g.edge_array(), n)
@@ -90,8 +88,7 @@ def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
     attempts = 0
     accepted = np.zeros(0, dtype=np.uint64)
     while accepted.size < count:
-        size = max(1024, 2 * (count - accepted.size))
-        size = min(size, budget - attempts)
+        size = min(max(1024, 2 * (count - accepted.size)), budget - attempts)
         if size <= 0:
             raise SaturationError(
                 f"negative sampling used more than {budget} proposals "

@@ -116,6 +116,15 @@ def test_top_c_truncates_when_candidates_run_out():
     assert recs[0].size == 2
 
 
+def test_top_c_items_hold_only_top_c_ids():
+    # items must not be views into the (block, n) argsort of their block
+    g = random_graph(300, 0.02, seed=4)
+    recs = top_c_recommend(g, MethodSpec("pa"), top_c=4)
+    held = {id(r if r.base is None else r.base):
+            (r if r.base is None else r.base).size for r in recs}
+    assert sum(held.values()) <= g.num_nodes * 4
+
+
 def test_vcmpr_recall_saturates():
     # node 0's single held-out partner is its top candidate
     g = build_graph([(0, 1), (1, 2), (1, 3), (3, 4)], num_nodes=5)
