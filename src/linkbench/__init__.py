@@ -42,13 +42,10 @@ from .nullmodel import (
 )
 from .harness import (
     BenchmarkConfig,
-    BenchmarkReport,
     GraphSource,
     compare_rankings,
     derive_seed,
-    run_benchmark,
     run_evaluation,
-    run_recommendation,
 )
 
 __version__ = "0.1.0"

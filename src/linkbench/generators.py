@@ -44,35 +44,19 @@ def generate_price(n: int, m_per_node: int, seed) -> Graph:
 
     num_edges = n * m - m * (m + 1) // 2
     edges = np.empty((num_edges, 2), dtype=np.int64)
-    stubs = np.empty(2 * num_edges, dtype=np.int64)
-    e = 0
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            edges[e, 0] = i
-            edges[e, 1] = j
-            stubs[2 * e] = i
-            stubs[2 * e + 1] = j
-            e += 1
+    stubs = edges.reshape(-1)  # a view: stubs 2e and 2e + 1 are edges[e]
+    e = m * (m + 1) // 2
+    edges[:e] = np.column_stack(np.triu_indices(m + 1, 1))
 
     for v in range(m + 1, n):
-        filled = 2 * e
         targets: list = []
-        seen: set = set()
         while len(targets) < m:
-            picks = stubs[rng.integers(0, filled, size=m - len(targets))]
-            for t in picks:
-                t = int(t)
-                if t not in seen:
-                    seen.add(t)
-                    targets.append(t)
-                    if len(targets) == m:
-                        break
-        for t in targets:
-            edges[e, 0] = v
-            edges[e, 1] = t
-            stubs[2 * e] = v
-            stubs[2 * e + 1] = t
-            e += 1
+            picks = stubs[rng.integers(0, 2 * e, size=m - len(targets))]
+            # distinct ids in first-pick order; at most m by construction
+            targets = list(dict.fromkeys(targets + picks.tolist()))
+        edges[e:e + m, 0] = v
+        edges[e:e + m, 1] = targets
+        e += m
 
     return build_graph(edges, num_nodes=n)
 

@@ -16,6 +16,10 @@ class EdgeListParseError(ValueError):
     """Raised when an edge-list file cannot be parsed. Mentions the line number."""
 
 
+# Largest node count n whose pair keys lo * n + hi fit in uint64.
+_MAX_NODES = 2**32
+
+
 def _as_pair_array(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=np.int64)
     if arr.size == 0:
@@ -156,6 +160,10 @@ def build_graph(pairs, num_nodes: int | None = None) -> Graph:
         raise ValueError(
             f"node id {inferred - 1} out of range for num_nodes={num_nodes}")
     num_nodes = int(num_nodes)
+    if num_nodes > _MAX_NODES:
+        # checked before indptr, whose size is num_nodes, is allocated
+        raise ValueError(f"node id {num_nodes - 1} is too large: ids must be "
+                         f"below {_MAX_NODES} so pair keys fit in 64 bits")
 
     if arr.size:
         lo = np.minimum(arr[:, 0], arr[:, 1])

@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,28 +178,6 @@ class ReportRow:
     value: float | str
 
 
-@dataclass
-class BenchmarkReport:
-    """Long-form result rows plus per-(graph, sampler) method rankings."""
-
-    rows: list = field(default_factory=list)
-    rankings: dict = field(default_factory=dict)
-
-    def sorted_rows(self) -> list:
-        return sorted(self.rows, key=lambda r: (r.graph, r.sampler, r.method,
-                                                r.repeat, r.metric))
-
-    def write_csv(self, path) -> None:
-        write_rows_csv(self.sorted_rows(), path)
-
-    def ranking_samplers(self) -> list:
-        return sorted({sampler for _, sampler in self.rankings})
-
-    def rankings_for(self, sampler: str) -> dict:
-        return {gid: ranking for (gid, s), ranking in self.rankings.items()
-                if s == sampler}
-
-
 def write_rows_csv(rows, path) -> None:
     """Fixed-schema CSV: graph,method,sampler,repeat,metric,value.
 
@@ -212,28 +190,6 @@ def write_rows_csv(rows, path) -> None:
         for r in rows:
             value = repr(float(r.value)) if isinstance(r.value, float) else r.value
             writer.writerow([r.graph, r.method, r.sampler, r.repeat, r.metric, value])
-
-
-def _append_means_and_rank(report: BenchmarkReport, config: BenchmarkConfig,
-                           metric: str, sampler_keys) -> None:
-    """Aggregate per-repeat values into mean rows and method rankings."""
-    per_cell = {(r.graph, r.sampler, r.repeat, r.method): r.value
-                for r in report.rows if r.metric == metric}
-    mean_metric = metric + "_mean"
-    for gid in [g.graph_id for g in config.graphs]:
-        for sampler in sampler_keys:
-            means = {}
-            for spec in config.methods:
-                vals = [per_cell[(gid, sampler, rep, spec.method)]
-                        for rep in range(config.repeats)
-                        if (gid, sampler, rep, spec.method) in per_cell]
-                if vals:
-                    means[spec.method] = float(np.mean(vals))
-                    report.rows.append(ReportRow(gid, spec.method, sampler, -1,
-                                                 mean_metric, means[spec.method]))
-            if means:
-                ranking = sorted(means, key=lambda m: (-means[m], m))
-                report.rankings[(gid, sampler)] = ranking
 
 
 RECOMMENDATION = "recommendation"
@@ -261,20 +217,44 @@ _TASK_CELLS = {
 }
 
 
-def _run_tasks(config: BenchmarkConfig, tasks, jobs: int = 1) -> dict:
-    """Run the given tasks' cells in one pool; one report per task.
+def compare_rankings(rankings: dict, sampler: str, p: float) -> dict | None:
+    """Per-graph RBO between a sampler's and the recommendation ranking.
+
+    rankings is run_evaluation's summary["rankings"], {graph: {sampler:
+    ranking}}. Only graphs ranked under both sampler and "recommendation"
+    are compared, in sorted graph order. Returns {"per_graph": {graph: rbo},
+    "mean": float}, or None when no graph is ranked under both.
+    """
+    shared = sorted(gid for gid, by_sampler in rankings.items()
+                    if sampler in by_sampler and RECOMMENDATION in by_sampler)
+    if not shared:
+        return None
+    per_graph = {gid: rbo(rankings[gid][sampler],
+                          rankings[gid][RECOMMENDATION], p) for gid in shared}
+    return {"per_graph": per_graph,
+            "mean": float(np.mean(list(per_graph.values())))}
+
+
+def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
+    """Run the configured tasks' cells in one pool; return rows and summary.
 
     Every graph is loaded once. Link-prediction cells are (graph, sampler,
     repeat); recommendation cells are (graph, repeat), with
     "recommendation" in the sampler column to keep the CSV schema uniform.
+    Rows hold every per-repeat value or error, plus one mean row per
+    (graph, sampler, method) at repeat -1; they come link-prediction first,
+    then recommendation, each sorted by (graph, sampler, method, repeat,
+    metric). The summary holds each (graph, sampler)'s method ranking, best
+    mean first, the failed cells and, when both tasks run, the RBO of every
+    sampler's rankings against the recommendation rankings.
     """
     graphs = {src.graph_id: src.load() for src in config.graphs}
-    sampler_keys = {task: (config.samplers if task == "link-prediction"
-                           else (RECOMMENDATION,)) for task in tasks}
+    tasks = [t for t in TASKS if t in config.tasks]
     cells = [(task, gid, sampler, rep)
              for task in tasks
              for gid in graphs
-             for sampler in sampler_keys[task]
+             for sampler in (config.samplers if task == "link-prediction"
+                             else (RECOMMENDATION,))
              for rep in range(config.repeats)]
     seeds = [derive_seed(config.master_seed, gid, sampler, rep)
              for _, gid, sampler, rep in cells]
@@ -308,71 +288,26 @@ def _run_tasks(config: BenchmarkConfig, tasks, jobs: int = 1) -> dict:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, items))
 
-    reports = {task: BenchmarkReport() for task in tasks}
-    for (task, *_), rows in zip(cells, results):
-        reports[task].rows.extend(rows)
-    for task, report in reports.items():
-        _append_means_and_rank(report, config, _TASK_CELLS[task][0],
-                               sampler_keys[task])
-    return reports
-
-
-def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkReport:
-    """AUC of every configured method under every configured sampler."""
-    return _run_tasks(config, ("link-prediction",), jobs)["link-prediction"]
-
-
-def run_recommendation(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkReport:
-    """VCMPR@C of every configured method on held-out positives."""
-    return _run_tasks(config, (RECOMMENDATION,), jobs)[RECOMMENDATION]
-
-
-def compare_rankings(report_a: BenchmarkReport, report_b: BenchmarkReport,
-                     p: float, sampler_a: str | None = None) -> dict:
-    """Per-graph RBO between the method rankings of two reports.
-
-    Report a is narrowed to sampler_a, which may be left out when it ranks
-    under one sampler only; report b must rank under exactly one sampler.
-    Returns {"per_graph": {graph_id: rbo}, "mean": float}, where per_graph
-    names exactly the graphs both rank. Raises ValueError if they share none.
-    """
-    out = _compare_shared(report_a, report_b, p, sampler_a)
-    if out is None:
-        raise ValueError("reports rank no graph in common")
-    return out
-
-
-def _compare_shared(report_a, report_b, p, sampler_a) -> dict | None:
-    """compare_rankings' result, or None when the reports share no graph."""
-    samplers_a = report_a.ranking_samplers()
-    if sampler_a is None and len(samplers_a) == 1:
-        sampler_a = samplers_a[0]
-    if sampler_a not in samplers_a:
-        raise ValueError(f"report a has rankings for {samplers_a}; pass "
-                         f"sampler_a naming one of them, not {sampler_a!r}")
-    samplers_b = report_b.ranking_samplers()
-    if len(samplers_b) > 1:
-        raise ValueError(f"report b has rankings for {samplers_b}; "
-                         f"it must rank under one sampler")
-    ranks_a = report_a.rankings_for(sampler_a)
-    ranks_b = report_b.rankings_for(samplers_b[0]) if samplers_b else {}
-    shared = sorted(set(ranks_a) & set(ranks_b))
-    if not shared:
-        return None
-    per_graph = {gid: rbo(ranks_a[gid], ranks_b[gid], p) for gid in shared}
-    return {"per_graph": per_graph,
-            "mean": float(np.mean(list(per_graph.values())))}
-
-
-def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
-    """Run the configured tasks and assemble rows plus a summary dict."""
-    reports = _run_tasks(config, [t for t in TASKS if t in config.tasks], jobs)
-    rows = [row for report in reports.values() for row in report.sorted_rows()]
-
+    rows: list = []
     rankings: dict = {}
-    for report in reports.values():
-        for (gid, sampler), ranking in report.rankings.items():
-            rankings.setdefault(gid, {})[sampler] = list(ranking)
+    for task in tasks:
+        metric = _TASK_CELLS[task][0]
+        task_rows = [r for cell, cell_rows in zip(cells, results)
+                     if cell[0] == task for r in cell_rows]
+        # (graph, sampler) -> method -> per-repeat values, repeats ascending
+        values: dict = {}
+        for r in task_rows:
+            if r.metric == metric:
+                values.setdefault((r.graph, r.sampler), {}).setdefault(
+                    r.method, []).append(r.value)
+        for (gid, sampler), by_method in values.items():
+            means = {m: float(np.mean(v)) for m, v in by_method.items()}
+            task_rows += [ReportRow(gid, m, sampler, -1, metric + "_mean", v)
+                          for m, v in means.items()]
+            rankings.setdefault(gid, {})[sampler] = sorted(
+                means, key=lambda m: (-means[m], m))
+        rows += sorted(task_rows, key=lambda r: (r.graph, r.sampler, r.method,
+                                                 r.repeat, r.metric))
 
     summary = {
         "rankings": rankings,
@@ -382,17 +317,14 @@ def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
             for r in rows if r.metric == "error"
         ],
     }
-
-    if "link-prediction" in reports and RECOMMENDATION in reports:
+    if tasks == list(TASKS):
         # a graph whose cells all failed in one task has no ranking there;
         # a sampler sharing no ranked graph with recommendation is left out
-        lp, rec = reports["link-prediction"], reports[RECOMMENDATION]
-        compared = {sampler: _compare_shared(lp, rec, config.rbo_p, sampler)
-                    for sampler in lp.ranking_samplers()}
+        compared = {sampler: compare_rankings(rankings, sampler, config.rbo_p)
+                    for sampler in config.samplers}
         summary["rbo"] = {f"{sampler}_vs_recommendation": out
                           for sampler, out in compared.items() if out}
-
-    return {"rows": rows, "summary": summary, "reports": reports}
+    return {"rows": rows, "summary": summary}
 
 
 def write_summary_json(summary: dict, path) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import rankdata
 
+from .graph import _as_pair_array
 from .predictors import MethodSpec, score_method
 
 
@@ -66,15 +67,20 @@ def vcmpr_per_node(items: list, positives, top_c: int) -> list:
 
     One (node, hits, partners, precision, recall, vcmpr) tuple per node
     with at least one held-out partner. precision = hits / C, recall =
-    hits / partners, and vcmpr is the larger of the two.
+    hits / partners, and vcmpr is the larger of the two. Positives name
+    node ids in [0, len(items)); any other id raises ValueError.
     """
     if top_c < 1:
         raise ValueError("top_c must be >= 1")
-    pos = np.asarray(positives, dtype=np.int64)
+    pos = _as_pair_array(positives)
     if pos.size == 0:
         raise ValueError("no node has a held-out positive partner")
+    bad = pos[(pos < 0) | (pos >= len(items))]
+    if bad.size:
+        raise ValueError(f"positive node id {bad[0]} out of range "
+                         f"[0, {len(items)})")
     partners: dict = {}
-    for i, j in pos.reshape(-1, 2):
+    for i, j in pos:
         partners.setdefault(int(i), set()).add(int(j))
         partners.setdefault(int(j), set()).add(int(i))
     rows = []

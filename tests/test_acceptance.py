@@ -24,7 +24,7 @@ from linkbench import (LfrParams, MethodSpec, auc_roc, build_graph,
                        sample_negative_uniform, score_method, split_positive,
                        top_c_recommend, vcmpr_at_c)
 from linkbench.harness import (BenchmarkConfig, GraphSource, compare_rankings,
-                               run_benchmark, run_recommendation)
+                               run_evaluation)
 
 PA = MethodSpec("pa")
 
@@ -255,11 +255,9 @@ def test_criterion_09_ranking_alignment_direction():
                           repeats=3, samplers=("uniform", "degree-corrected"),
                           top_c=50, rbo_p=0.5, master_seed=1234,
                           tasks=("link-prediction", "recommendation"))
-    bench = run_benchmark(cfg, jobs=4)
-    rec = run_recommendation(cfg, jobs=4)
-    uni = compare_rankings(bench, rec, p=0.5, sampler_a="uniform")["mean"]
-    cor = compare_rankings(bench, rec, p=0.5,
-                           sampler_a="degree-corrected")["mean"]
+    rankings = run_evaluation(cfg, jobs=4)["summary"]["rankings"]
+    uni = compare_rankings(rankings, "uniform", p=0.5)["mean"]
+    cor = compare_rankings(rankings, "degree-corrected", p=0.5)["mean"]
     check("criterion 09 ranking alignment on attachment-only graphs",
           cor >= uni,
           f"mean RBO corrected-vs-recommendation {cor:.4f} vs uniform-vs-"

@@ -9,6 +9,7 @@ import pytest
 from linkbench import (MethodSpec, build_graph, expected_pa_auc,
                        fit_lognormal_degrees, read_edge_list, score_method,
                        write_edge_list)
+from linkbench.cli import main
 
 
 def run_cli(*args):
@@ -98,6 +99,22 @@ def test_recommend_reports_vcmpr(tmp_path):
     assert rows and set(rows[0]) == {"node", "hits", "num_partners",
                                      "precision", "recall", "vcmpr"}
     assert np.mean([float(r["vcmpr"]) for r in rows]) == pytest.approx(mean)
+
+
+@pytest.mark.parametrize("pair", ["0 4", "-1 2"])
+def test_recommend_rejects_out_of_range_positive(tmp_path, capsys, pair):
+    # on a 4-cycle, id 4 used to die with an IndexError and id -1 was
+    # silently scored against node 3's list
+    train, pos, out = (tmp_path / name for name in ("c4.train", "bad.pos",
+                                                    "recs.csv"))
+    write_edge_list(np.array([(0, 1), (1, 2), (2, 3), (0, 3)]), train)
+    pos.write_text(f"0 2\n{pair}\n")
+    code = main(["recommend", "--train", str(train), "--pos", str(pos),
+                 "--method", "cn", "--top-c", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of range [0, 4)" in err
+    assert not out.exists()
 
 
 def test_rank_compare_half(tmp_path):

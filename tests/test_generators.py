@@ -12,6 +12,47 @@ def n_components(g):
     return csgraph.connected_components(g.to_scipy_csr(), directed=False)[0]
 
 
+def reference_price(n, m, seed):
+    """The per-stub loop generate_price replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    num_edges = n * m - m * (m + 1) // 2
+    edges = np.empty((num_edges, 2), dtype=np.int64)
+    stubs = np.empty(2 * num_edges, dtype=np.int64)
+    e = 0
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            edges[e] = (i, j)
+            stubs[2 * e], stubs[2 * e + 1] = i, j
+            e += 1
+    for v in range(m + 1, n):
+        filled = 2 * e
+        targets, seen = [], set()
+        while len(targets) < m:
+            picks = stubs[rng.integers(0, filled, size=m - len(targets))]
+            for t in picks:
+                t = int(t)
+                if t not in seen:
+                    seen.add(t)
+                    targets.append(t)
+                    if len(targets) == m:
+                        break
+        for t in targets:
+            edges[e] = (v, t)
+            stubs[2 * e], stubs[2 * e + 1] = v, t
+            e += 1
+    return build_graph(edges, num_nodes=n)
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (2, 1, 0), (6, 5, 3), (400, 1, 7), (500, 3, 11), (800, 7, 2),
+    (300, 12, 5), (1000, 4, 9),
+])
+def test_price_matches_reference_loop(n, m, seed):
+    got, want = generate_price(n, m, seed), reference_price(n, m, seed)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
 def test_price_seed_clique_only():
     g = generate_price(3, 2, seed=0)
     assert g.num_nodes == 3

@@ -1,3 +1,5 @@
+import resource
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,25 @@ def test_num_nodes_override_keeps_isolates():
     g = build_graph([(0, 1)], num_nodes=5)
     assert g.num_nodes == 5
     assert g.degree(4) == 0
+
+
+def test_huge_node_id_rejected():
+    # 2**32 + 1 nodes would overflow the samplers' uint64 pair keys and
+    # need a 32 GiB indptr, so the id is refused before anything sized by
+    # n is allocated. The address-space cap turns a regression into a
+    # MemoryError in this process rather than exhausting the host.
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 16 << 30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        with pytest.raises(ValueError, match=f"node id {2**32} "):
+            build_graph([(0, 2**32)])
+        with pytest.raises(ValueError, match=f"node id {2**32} "):
+            build_graph([(0, 1)], num_nodes=2**32 + 1)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def test_id_out_of_range_rejected():

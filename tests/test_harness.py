@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -8,10 +9,10 @@ import pytest
 from linkbench import (MethodSpec, build_graph, score_method, split_positive,
                        write_edge_list)
 from linkbench.cli import main
-from linkbench.harness import (BenchmarkConfig, BenchmarkReport, GraphSource,
-                               compare_rankings, derive_seed, run_benchmark,
-                               run_evaluation, run_recommendation,
-                               write_rows_csv, write_summary_json)
+from linkbench import harness
+from linkbench.harness import (BenchmarkConfig, GraphSource, compare_rankings,
+                               derive_seed, run_evaluation, write_rows_csv,
+                               write_summary_json)
 
 
 def price_source(gid, n=120, m=3, seed=0):
@@ -98,15 +99,15 @@ def test_benchmark_row_cardinality_and_mean():
     cfg = BenchmarkConfig(graphs=(price_source("g"),),
                           methods=(MethodSpec("pa"),), repeats=5,
                           samplers=("uniform",), master_seed=3)
-    report = run_benchmark(cfg)
-    per_rep = [r for r in report.rows if r.metric == "auc"]
-    means = [r for r in report.rows if r.metric == "auc_mean"]
+    result = run_evaluation(cfg)
+    per_rep = [r for r in result["rows"] if r.metric == "auc"]
+    means = [r for r in result["rows"] if r.metric == "auc_mean"]
     assert len(per_rep) == 5
     assert len(means) == 1
     assert means[0].repeat == -1
     assert means[0].value == pytest.approx(
         np.mean([r.value for r in per_rep]), abs=1e-15)
-    assert report.rankings[("g", "uniform")] == ["pa"]
+    assert result["summary"]["rankings"]["g"]["uniform"] == ["pa"]
 
 
 def test_benchmark_cells_independent_of_method_list():
@@ -118,9 +119,9 @@ def test_benchmark_cells_independent_of_method_list():
     both = BenchmarkConfig(graphs=(price_source("g"),),
                            methods=(MethodSpec("pa"), MethodSpec("cn")),
                            repeats=3, samplers=("uniform",), master_seed=11)
-    rows_solo = {(r.repeat, r.value) for r in run_benchmark(solo).rows
+    rows_solo = {(r.repeat, r.value) for r in run_evaluation(solo)["rows"]
                  if r.method == "pa" and r.metric == "auc"}
-    rows_both = {(r.repeat, r.value) for r in run_benchmark(both).rows
+    rows_both = {(r.repeat, r.value) for r in run_evaluation(both)["rows"]
                  if r.method == "pa" and r.metric == "auc"}
     assert rows_solo == rows_both
 
@@ -133,7 +134,7 @@ def test_benchmark_deterministic_across_runs_and_jobs(tmp_path):
     paths = []
     for tag, jobs in (("r1", 1), ("r2", 1), ("r3", 3)):
         p = tmp_path / f"{tag}.csv"
-        run_benchmark(cfg, jobs=jobs).write_csv(p)
+        write_rows_csv(run_evaluation(cfg, jobs=jobs)["rows"], p)
         paths.append(p.read_bytes())
     assert paths[0] == paths[1] == paths[2]
 
@@ -150,15 +151,15 @@ def test_benchmark_isolates_failing_graph(tmp_path):
                             samplers=("uniform",), master_seed=9)
     alone = BenchmarkConfig(graphs=(good,), methods=(MethodSpec("pa"),),
                             repeats=2, samplers=("uniform",), master_seed=9)
-    mixed_report = run_benchmark(mixed)
-    bad_rows = [r for r in mixed_report.rows if r.graph == "k8"]
+    mixed_result = run_evaluation(mixed)
+    bad_rows = [r for r in mixed_result["rows"] if r.graph == "k8"]
     assert bad_rows and all(r.metric == "error" for r in bad_rows)
     assert all("split failed" in r.value for r in bad_rows)
-    assert ("k8", "uniform") not in mixed_report.rankings
-    good_mixed = {(r.repeat, r.metric, r.value) for r in mixed_report.rows
+    assert "uniform" not in mixed_result["summary"]["rankings"].get("k8", {})
+    good_mixed = {(r.repeat, r.metric, r.value) for r in mixed_result["rows"]
                   if r.graph == "good"}
     good_alone = {(r.repeat, r.metric, r.value)
-                  for r in run_benchmark(alone).rows if r.graph == "good"}
+                  for r in run_evaluation(alone)["rows"] if r.graph == "good"}
     assert good_mixed == good_alone
 
 
@@ -195,11 +196,11 @@ def test_evaluate_both_tasks_isolates_failing_graph(tmp_path):
 
 
 def test_compare_rankings_uses_shared_graphs():
-    a = BenchmarkReport(rankings={("g1", "uniform"): ["pa", "cn"],
-                                  ("g2", "uniform"): ["pa", "cn"]})
-    b = BenchmarkReport(rankings={("g2", "recommendation"): ["cn", "pa"],
-                                  ("g3", "recommendation"): ["pa", "cn"]})
-    out = compare_rankings(a, b, p=0.5)
+    rankings = {"g1": {"uniform": ["pa", "cn"]},
+                "g2": {"uniform": ["pa", "cn"],
+                       "recommendation": ["cn", "pa"]},
+                "g3": {"recommendation": ["pa", "cn"]}}
+    out = compare_rankings(rankings, "uniform", p=0.5)
     assert out["per_graph"] == {"g2": pytest.approx(0.5)}
     assert out["mean"] == pytest.approx(0.5)
 
@@ -216,12 +217,13 @@ def cliques_graph(num_cliques=8, size=6):
 def test_recommendation_rows_and_mean(tmp_path):
     cfg = BenchmarkConfig(graphs=(price_source("g", seed=5),),
                           methods=(MethodSpec("pa"), MethodSpec("cn")),
-                          repeats=3, top_c=10, master_seed=13)
-    report = run_recommendation(cfg)
+                          repeats=3, top_c=10, master_seed=13,
+                          tasks=("recommendation",))
+    rows = run_evaluation(cfg)["rows"]
     for spec in cfg.methods:
-        rep_rows = [r for r in report.rows
+        rep_rows = [r for r in rows
                     if r.method == spec.method and r.metric == "vcmpr"]
-        mean_rows = [r for r in report.rows
+        mean_rows = [r for r in rows
                      if r.method == spec.method and r.metric == "vcmpr_mean"]
         assert len(rep_rows) == 3
         assert all(r.sampler == "recommendation" for r in rep_rows)
@@ -238,9 +240,10 @@ def test_recommendation_structure_beats_degree_on_cliques(tmp_path):
     write_edge_list(cliques_graph(), path)
     cfg = BenchmarkConfig(graphs=(GraphSource("cliques", path=str(path)),),
                           methods=(MethodSpec("pa"), MethodSpec("cn")),
-                          repeats=2, top_c=3, master_seed=21)
-    report = run_recommendation(cfg)
-    assert report.rankings[("cliques", "recommendation")][0] == "cn"
+                          repeats=2, top_c=3, master_seed=21,
+                          tasks=("recommendation",))
+    rankings = run_evaluation(cfg)["summary"]["rankings"]
+    assert rankings["cliques"]["recommendation"][0] == "cn"
 
 
 def oracle_vcmpr(train, positives, spec, top_c):
@@ -272,14 +275,14 @@ def test_recommendation_matches_exhaustive_oracle(tmp_path):
                      "lpi", "shortest_path", "lrw"))
     cfg = BenchmarkConfig(graphs=(GraphSource("rand", path=str(path)),),
                           methods=methods, beta=0.3, repeats=2, top_c=5,
-                          master_seed=29)
-    report = run_recommendation(cfg)
+                          master_seed=29, tasks=("recommendation",))
+    rows = run_evaluation(cfg)["rows"]
     for rep in range(2):
         seed = derive_seed(29, "rand", "recommendation", rep)
         train, positives = split_positive(g, 0.3, seed)
         for spec in methods:
             want = oracle_vcmpr(train, positives, spec, top_c=5)
-            got = [r.value for r in report.rows
+            got = [r.value for r in rows
                    if r.method == spec.method and r.repeat == rep
                    and r.metric == "vcmpr"]
             assert got[0] == pytest.approx(want, abs=1e-12), spec.method
@@ -289,34 +292,37 @@ def test_compare_rankings_self_is_one():
     cfg = BenchmarkConfig(graphs=(price_source("g", seed=6),),
                           methods=(MethodSpec("pa"), MethodSpec("cn")),
                           repeats=2, samplers=("uniform",), master_seed=31)
-    report = run_benchmark(cfg)
-    out = compare_rankings(report, report, p=0.5)
+    ranking = run_evaluation(cfg)["summary"]["rankings"]["g"]["uniform"]
+    rankings = {"g": {"uniform": ranking, "recommendation": ranking}}
+    out = compare_rankings(rankings, "uniform", p=0.5)
     assert out["per_graph"] == {"g": 1.0}
     assert out["mean"] == 1.0
 
 
 def test_compare_rankings_swapped_pair_is_half():
-    a = BenchmarkReport(rankings={("g", "uniform"): ["pa", "cn"]})
-    b = BenchmarkReport(rankings={("g", "recommendation"): ["cn", "pa"]})
-    out = compare_rankings(a, b, p=0.5)
+    rankings = {"g": {"uniform": ["pa", "cn"],
+                      "recommendation": ["cn", "pa"]}}
+    out = compare_rankings(rankings, "uniform", p=0.5)
     assert out["per_graph"]["g"] == pytest.approx(0.5)
+    assert out["mean"] == pytest.approx(0.5)
 
 
-def test_compare_rankings_rejects_mismatched_graphs():
-    a = BenchmarkReport(rankings={("g1", "uniform"): ["pa", "cn"]})
-    b = BenchmarkReport(rankings={("g2", "uniform"): ["pa", "cn"]})
-    with pytest.raises(ValueError):
-        compare_rankings(a, b, p=0.5)
+def test_compare_rankings_none_without_shared_graph():
+    rankings = {"g1": {"uniform": ["pa", "cn"]},
+                "g2": {"recommendation": ["pa", "cn"]}}
+    assert compare_rankings(rankings, "uniform", p=0.5) is None
+    assert compare_rankings(rankings, "degree-corrected", p=0.5) is None
+    assert compare_rankings({}, "uniform", p=0.5) is None
 
 
-def test_compare_rankings_needs_sampler_when_ambiguous():
-    a = BenchmarkReport(rankings={("g", "uniform"): ["pa", "cn"],
-                                  ("g", "degree-corrected"): ["cn", "pa"]})
-    b = BenchmarkReport(rankings={("g", "recommendation"): ["cn", "pa"]})
-    with pytest.raises(ValueError):
-        compare_rankings(a, b, p=0.5)
-    out = compare_rankings(a, b, p=0.5, sampler_a="degree-corrected")
+def test_compare_rankings_uses_named_sampler():
+    rankings = {"g": {"uniform": ["pa", "cn"],
+                      "degree-corrected": ["cn", "pa"],
+                      "recommendation": ["cn", "pa"]}}
+    out = compare_rankings(rankings, "degree-corrected", p=0.5)
     assert out["per_graph"]["g"] == 1.0
+    assert compare_rankings(rankings, "uniform", p=0.5)["per_graph"]["g"] == \
+        pytest.approx(0.5)
 
 
 def test_run_evaluation_summary_shape(tmp_path):
@@ -349,8 +355,10 @@ def test_run_evaluation_loads_each_graph_once(monkeypatch):
                           methods=(MethodSpec("pa"), MethodSpec("cn")),
                           repeats=2, top_c=10, master_seed=41,
                           tasks=("link-prediction", "recommendation"))
-    bench = run_benchmark(cfg)
-    rec = run_recommendation(cfg)
+    lp_only = run_evaluation(dataclasses.replace(
+        cfg, tasks=("link-prediction",)))
+    rec_only = run_evaluation(dataclasses.replace(
+        cfg, tasks=("recommendation",)))
     loads = []
     load = GraphSource.load
 
@@ -359,12 +367,38 @@ def test_run_evaluation_loads_each_graph_once(monkeypatch):
         return load(self)
 
     monkeypatch.setattr(GraphSource, "load", counting_load)
-    reports = run_evaluation(cfg, jobs=2)["reports"]
+    result = run_evaluation(cfg, jobs=2)
     assert sorted(loads) == ["a", "b"]
-    for got, want in ((reports["link-prediction"], bench),
-                      (reports["recommendation"], rec)):
-        assert got.sorted_rows() == want.sorted_rows()
-        assert got.rankings == want.rankings
+    # link-prediction rows first, then recommendation, each sorted alone
+    assert result["rows"] == lp_only["rows"] + rec_only["rows"]
+    for gid in ("a", "b"):
+        assert result["summary"]["rankings"][gid] == {
+            **lp_only["summary"]["rankings"][gid],
+            **rec_only["summary"]["rankings"][gid]}
+
+
+def test_run_evaluation_calls_compare_rankings_once_per_sampler(monkeypatch):
+    # the bench tracer times the RBO layer by wrapping the module-level
+    # harness.compare_rankings, so run_evaluation must call it by that name
+    cfg = BenchmarkConfig(graphs=(price_source("a", seed=1),
+                                  price_source("b", seed=2)),
+                          methods=(MethodSpec("pa"), MethodSpec("cn")),
+                          repeats=2, top_c=10, master_seed=47,
+                          tasks=("link-prediction", "recommendation"))
+    want = run_evaluation(cfg)["summary"]["rbo"]
+    calls = []
+    compare = harness.compare_rankings
+
+    def counting_compare(*args, **kwargs):
+        calls.append(args)
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compare_rankings", counting_compare)
+    got = run_evaluation(cfg)["summary"]["rbo"]
+    assert len(calls) == 2
+    assert got == want
+    assert set(got) == {"uniform_vs_recommendation",
+                        "degree-corrected_vs_recommendation"}
 
 
 @pytest.mark.filterwarnings("ignore:discarded")
@@ -383,9 +417,7 @@ def test_ranking_alignment_direction_on_community_graphs():
     cfg = BenchmarkConfig(graphs=graphs, methods=methods, repeats=3,
                           top_c=50, master_seed=9,
                           tasks=("link-prediction", "recommendation"))
-    bench = run_benchmark(cfg, jobs=4)
-    rec = run_recommendation(cfg, jobs=4)
-    uni = compare_rankings(bench, rec, p=0.5, sampler_a="uniform")["mean"]
-    cor = compare_rankings(bench, rec, p=0.5,
-                           sampler_a="degree-corrected")["mean"]
+    rankings = run_evaluation(cfg, jobs=4)["summary"]["rankings"]
+    uni = compare_rankings(rankings, "uniform", p=0.5)["mean"]
+    cor = compare_rankings(rankings, "degree-corrected", p=0.5)["mean"]
     assert cor > uni
