@@ -12,14 +12,17 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from .generators import GenerationError, LfrParams, generate_lfr, generate_price
-from .graph import build_graph, read_edge_list, write_edge_list
+from .graph import _as_pair_array, build_graph, read_edge_list, \
+    write_edge_list
 from .harness import BenchmarkConfig, run_evaluation, write_rows_csv, \
     write_summary_json
 from .metrics import rbo, top_c_recommend, vcmpr_at_c, vcmpr_per_node
 from .nullmodel import expected_pa_auc, fit_lognormal_degrees, size_biased_law
 from .predictors import METHODS, MethodSpec, score_method
-from .sampling import SaturationError, make_split
+from .sampling import SaturationError, _pair_keys, make_split
 
 
 def _load_graph(path):
@@ -99,9 +102,32 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _check_held_out(train, positives) -> None:
+    """Reject a held-out positive that top_c_recommend can never list: a
+    self-pair or a train edge would count as a missed partner.
+
+    Ids outside the train graph are left to vcmpr_per_node's range check.
+    """
+    pos = _as_pair_array(positives)
+    n = train.num_nodes
+    pos = pos[((pos >= 0) & (pos < n)).all(axis=1)]
+    keys = _pair_keys(pos, n)
+    # sorted edge keys, then a sentinel above every key of ids below n
+    edges = np.append(_pair_keys(train.edge_array(), n),
+                      np.iinfo(np.uint64).max)
+    is_edge = edges[np.searchsorted(edges, keys)] == keys
+    bad = np.flatnonzero((pos[:, 0] == pos[:, 1]) | is_edge)
+    if bad.size:
+        i, j = pos[bad[0]].tolist()
+        kind = "a self-pair" if i == j else "a train edge"
+        raise ValueError(f"held-out positive ({i}, {j}) is {kind}; it can "
+                         f"never be recommended")
+
+
 def cmd_recommend(args) -> int:
     train = _load_graph(args.train)
     positives = read_edge_list(args.pos)
+    _check_held_out(train, positives)
     recs = top_c_recommend(train, _method_spec(args), args.top_c)
     rows = vcmpr_per_node(recs, positives, args.top_c)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

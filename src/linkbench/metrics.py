@@ -6,7 +6,9 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .graph import _as_pair_array
-from .predictors import MethodSpec, score_method
+from .predictors import MethodSpec, score_block
+# kept as metrics.score_method: bench/tracer.py wraps that name
+from .predictors import score_method  # noqa: F401
 
 
 def auc_roc(pos_scores, neg_scores) -> float:
@@ -26,7 +28,7 @@ def auc_roc(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
-# sources scored per score_method call in top_c_recommend
+# sources scored per score_block call in top_c_recommend
 _REC_BLOCK = 512
 
 
@@ -37,10 +39,14 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     source i, best first, and has length min(top_c, n - 1 - deg i).
     Candidates never include i itself or its train neighbours, and ties are
     broken by ascending node id. Each block of sources is scored against
-    all n nodes in one score_method call; self and neighbour pairs are then
-    masked to +inf in the negated scores, and one stable argsort per block
-    orders the rest. Peak memory is O(block * n) on top of the scorer's; the
-    top-C columns are copied out, so the result holds O(n * top_c) ids.
+    all n nodes as one (block, n) matrix by score_block, which builds no
+    pair list; self and neighbour entries are then masked to +inf in the
+    negated scores, and one stable argsort per block orders the rest.
+
+    Peak memory is O(block * n) for the scores and their argsort, plus
+    O(n * batch) for lrw's column walk and the support of A[blk] @ A for
+    adamic_adar and resource_alloc. The top-C columns are copied out, so
+    the result holds O(n * top_c) ids.
     """
     if top_c < 1:
         raise ValueError("top_c must be >= 1")
@@ -50,9 +56,8 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     for lo in range(0, n, _REC_BLOCK):
         hi = min(lo + _REC_BLOCK, n)
         rows = np.arange(hi - lo)
-        pairs = np.stack([np.repeat(np.arange(lo, hi), n),
-                          np.tile(np.arange(n), hi - lo)], axis=1)
-        neg = -score_method(train, pairs, spec).reshape(hi - lo, n)
+        neg = score_block(train, lo, hi, spec)
+        np.negative(neg, out=neg)
         neg[rows, rows + lo] = np.inf
         neg[np.repeat(rows, deg[lo:hi]),
             train.indices[train.indptr[lo]:train.indptr[hi]]] = np.inf
@@ -79,18 +84,29 @@ def vcmpr_per_node(items: list, positives, top_c: int) -> list:
     if bad.size:
         raise ValueError(f"positive node id {bad[0]} out of range "
                          f"[0, {len(items)})")
-    partners: dict = {}
-    for i, j in pos:
-        partners.setdefault(int(i), set()).add(int(j))
-        partners.setdefault(int(j), set()).add(int(i))
-    rows = []
-    for node, mates in sorted(partners.items()):
-        hits = len(mates.intersection(items[node][:top_c].tolist()))
-        precision = hits / top_c
-        recall = hits / len(mates)
-        rows.append((node, hits, len(mates), precision, recall,
-                     max(precision, recall)))
-    return rows
+    # one key v * n + u per (node v, partner u), each pair in both
+    # directions; sorting groups them by node, and repeats are dropped
+    n = np.uint64(len(items))
+    a = pos.astype(np.uint64)
+    keys = np.sort(np.concatenate([a[:, 0] * n + a[:, 1],
+                                   a[:, 1] * n + a[:, 0]]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    owner = keys // n
+    starts = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1]]))
+    nodes = owner[starts]
+    lists = [items[v][:top_c] for v in nodes.tolist()]
+    listed = (np.repeat(nodes, [len(x) for x in lists]) * n
+              + np.concatenate(lists).astype(np.uint64))
+    # both key sets are distinct: a node's top-C ids never repeat
+    hit = np.isin(keys, listed, assume_unique=True)
+    hits = np.add.reduceat(hit.astype(np.int64), starts)
+    mates = np.diff(np.append(starts, keys.size))
+    # float64 division of small integers rounds as Python's int / int does
+    precision = hits / top_c
+    recall = hits / mates
+    return list(zip(nodes.tolist(), hits.tolist(), mates.tolist(),
+                    precision.tolist(), recall.tolist(),
+                    np.maximum(precision, recall).tolist()))
 
 
 def vcmpr_at_c(items: list, positives, top_c: int) -> float:

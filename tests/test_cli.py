@@ -117,6 +117,28 @@ def test_recommend_rejects_out_of_range_positive(tmp_path, capsys, pair):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair, kind", [("1 1", "a self-pair"),
+                                        ("1 0", "a train edge")])
+def test_recommend_rejects_unrecommendable_positive(tmp_path, capsys, pair,
+                                                    kind):
+    # on a 4-cycle, each used to lower vcmpr_mean from 1.0 to 0.5 silently
+    train, pos, out = (tmp_path / name for name in ("c4.train", "pos",
+                                                    "recs.csv"))
+    write_edge_list(np.array([(0, 1), (1, 2), (2, 3), (0, 3)]), train)
+    args = ["recommend", "--train", str(train), "--pos", str(pos),
+            "--method", "cn", "--top-c", "2", "--out", str(out)]
+    pos.write_text("0 2\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out == "vcmpr_mean=1.0\n"
+    pos.write_text(f"0 2\n{pair}\n")
+    out.unlink()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"({pair.replace(' ', ', ')}) is {kind}" in err
+    assert not out.exists()
+
+
 def test_rank_compare_half(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from linkbench import (METHODS, MethodSpec, auc_roc, build_graph, rbo,
-                       score_method, top_c_recommend, vcmpr_at_c,
-                       vcmpr_per_node)
+from linkbench import (METHODS, MethodSpec, auc_roc, build_graph, metrics,
+                       predictors, rbo, score_method, top_c_recommend,
+                       vcmpr_at_c, vcmpr_per_node)
 
 
 def brute_auc(pos, neg):
@@ -123,6 +123,62 @@ def test_top_c_items_hold_only_top_c_ids():
     held = {id(r if r.base is None else r.base):
             (r if r.base is None else r.base).size for r in recs}
     assert sum(held.values()) <= g.num_nodes * 4
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_top_c_scores_without_pair_lists(monkeypatch, method):
+    # count every pair that reaches a pair scorer; the block forms build
+    # none, and adamic_adar and resource_alloc score only their support
+    g = random_graph(600, 0.02, seed=5)
+    seen = []
+
+    def counting(fn):
+        def wrapped(train, pairs, *args, **kwargs):
+            seen.append(len(pairs))
+            return fn(train, pairs, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(metrics, "score_method",
+                        counting(metrics.score_method))
+    for name, kernel in list(predictors._KERNELS.items()):
+        monkeypatch.setitem(predictors._KERNELS, name, counting(kernel))
+    assert len(top_c_recommend(g, MethodSpec(method), top_c=5)) == 600
+    A = g.to_scipy_csr()
+    if method in ("adamic_adar", "resource_alloc"):
+        assert 0 < sum(seen) <= (A @ A).nnz
+    else:
+        assert sum(seen) == 0
+
+
+def reference_vcmpr_per_node(items, positives, top_c):
+    """The per-node set loop that vcmpr_per_node replaced."""
+    partners: dict = {}
+    for i, j in np.asarray(positives).tolist():
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
+    rows = []
+    for node, mates in sorted(partners.items()):
+        hits = len(mates.intersection(items[node][:top_c].tolist()))
+        precision = hits / top_c
+        recall = hits / len(mates)
+        rows.append((node, hits, len(mates), precision, recall,
+                     max(precision, recall)))
+    return rows
+
+
+def test_vcmpr_per_node_matches_set_loop():
+    rng = np.random.default_rng(8)
+    g = random_graph(120, 0.05, seed=3)
+    recs = top_c_recommend(g, MethodSpec("cn"), top_c=6)
+    for size in (1, 5, 40, 400):
+        # repeats, reversed pairs and self-pairs included
+        pos = rng.integers(0, 120, size=(size, 2))
+        for top_c in (1, 3, 6, 9):
+            got = vcmpr_per_node(recs, pos, top_c)
+            want = reference_vcmpr_per_node(recs, pos, top_c)
+            assert got == want
+            assert [tuple(map(type, r)) for r in got] == \
+                [(int, int, int, float, float, float)] * len(got)
 
 
 def test_vcmpr_recall_saturates():

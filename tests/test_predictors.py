@@ -175,9 +175,53 @@ def test_non_finite_score_rejected(monkeypatch):
                         lambda train, arr: np.full(arr.shape[0], np.nan))
     with pytest.raises(ArithmeticError, match="cn"):
         score_method(g, [(0, 2)], MethodSpec("cn"))
+    monkeypatch.setitem(predictors._BLOCKS, "cn",
+                        lambda train, lo, hi: np.full((hi - lo, 3), np.inf))
+    with pytest.raises(ArithmeticError, match="cn"):
+        predictors.score_block(g, 0, 2, MethodSpec("cn"))
 
 
 def test_pairs_out_of_range_rejected():
     g = build_graph([(0, 1)])
     with pytest.raises(ValueError):
         score_method(g, [(0, 9)], MethodSpec("cn"))
+    for lo, hi in [(-1, 1), (0, 3), (2, 1)]:
+        with pytest.raises(ValueError, match="out of range"):
+            predictors.score_block(g, lo, hi, MethodSpec("cn"))
+
+
+def block_pairs(lo, hi, n):
+    """Row-major pair list of sources lo..hi-1 against every node."""
+    return np.stack([np.repeat(np.arange(lo, hi), n),
+                     np.tile(np.arange(n), hi - lo)], axis=1)
+
+
+def block_cases():
+    """(graph, blocks) inputs of the block-form test."""
+    rng = np.random.default_rng(1)
+    # ids 1000..1099 stay isolated; [300, 1050) crosses the 512-source
+    # block border of top_c_recommend and lrw's 1024-column batch border
+    sparse_1100 = build_graph(rng.integers(0, 1000, size=(2500, 2)),
+                              num_nodes=1100)
+    k6 = build_graph([(i, j) for i in range(6) for j in range(i + 1, 6)])
+    star = build_graph([(0, j) for j in range(1, 9)])
+    return [(sparse_1100, [(0, 512), (300, 1050), (1000, 1100)]),
+            (build_graph([], num_nodes=3), [(0, 3), (1, 2)]),
+            (k6, [(0, 6), (2, 5)]),
+            (star, [(0, 9), (0, 1), (3, 9)])]
+
+
+BLOCK_SPECS = [MethodSpec(m) for m in METHODS] + [
+    MethodSpec("lpi", epsilon=0.5), MethodSpec("lrw", walk_steps=2),
+    MethodSpec("lrw", walk_steps=5)]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=repr)
+def test_score_block_equals_pair_route(spec):
+    for g, blocks in block_cases():
+        n = g.num_nodes
+        for lo, hi in blocks:
+            want = score_method(g, block_pairs(lo, hi, n), spec)
+            got = predictors.score_block(g, lo, hi, spec)
+            assert got.shape == (hi - lo, n)
+            assert np.array_equal(got, want.reshape(hi - lo, n)), (n, lo, hi)
