@@ -112,7 +112,11 @@ class Graph:
     # ------------------------------------------------------------------
 
     def edge_array(self) -> np.ndarray:
-        """Canonical (M, 2) edge array with i < j, lexicographically sorted."""
+        """Canonical (M, 2) edge array with i < j, lexicographically sorted.
+
+        The cache is filled without a lock: threads that race on the first
+        call each build an equal array, so a race costs only duplicate work.
+        """
         if self._edge_array is None:
             src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
             mask = self._indices > src
@@ -122,7 +126,11 @@ class Graph:
         return self._edge_array
 
     def to_scipy_csr(self) -> sparse.csr_matrix:
-        """Adjacency as a scipy CSR matrix with float64 ones (cached)."""
+        """Adjacency as a scipy CSR matrix with float64 ones (cached).
+
+        The cache is filled without a lock: threads that race on the first
+        call each build an equal matrix, so a race costs only duplicate work.
+        """
         if self._csr is None:
             n = self.num_nodes
             data = np.ones(self._indices.size, dtype=np.float64)

@@ -198,9 +198,15 @@ RECOMMENDATION = "recommendation"
 def _auc_cell(config: BenchmarkConfig, graph: Graph, sampler: str, seed):
     """Split once; the split and negatives are shared by all methods."""
     split = make_split(graph, config.beta, sampler, seed)
-    return lambda spec: auc_roc(
-        score_method(split.train, split.positives, spec),
-        score_method(split.train, split.negatives, spec))
+    # one scoring call per method: every kernel scores each pair on its own,
+    # so the split of the joint scores equals two separate calls
+    pairs = np.concatenate([split.positives, split.negatives])
+    cut = len(split.positives)
+
+    def measure(spec):
+        scores = score_method(split.train, pairs, spec)
+        return auc_roc(scores[:cut], scores[cut:])
+    return measure
 
 
 def _vcmpr_cell(config: BenchmarkConfig, graph: Graph, sampler: str, seed):

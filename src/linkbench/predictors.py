@@ -11,11 +11,11 @@ memory.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .graph import _as_pair_array
 
@@ -31,6 +31,10 @@ METHODS = (
 )
 
 _PAIR_CHUNK = 1 << 18
+
+# bytes of the (nnz, words) gather of one BFS level, which sets the sources
+# per BFS batch
+_BFS_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -143,16 +147,55 @@ def _score_lpi(train, arr, epsilon):
     return out
 
 
+def _bfs_batch(A):
+    """Sources per BFS batch: a multiple of 64 whose level gather fits
+    _BFS_BYTES."""
+    return 64 * max(1, _BFS_BYTES // (8 * max(A.nnz, 1)))
+
+
+def _bfs_levels(A, sources):
+    """Yield (d, words) for d = 1, 2, ... of a bit-parallel BFS from every
+    node of ``sources`` (distinct ids) at once.
+
+    words is an (n, ceil(S / 64)) uint64 array: bit k of words[v, k // 64] is
+    set when node v is exactly d hops from sources[k]. Each level is one
+    gather of the frontier over A's column ids and one OR-reduction per
+    non-empty row (multi-source BFS; Then et al., PVLDB 2014). Stops when no
+    node is newly reached. Peak memory is O((n + nnz) * S / 64) words.
+    """
+    k = np.arange(sources.size)
+    visited = np.zeros((A.shape[0], -(-sources.size // 64)), dtype=np.uint64)
+    visited[sources, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
+    frontier = visited.copy()
+    rows = np.flatnonzero(np.diff(A.indptr))
+    starts = A.indptr[rows]
+    for d in itertools.count(1):
+        nxt = np.zeros_like(visited)
+        nxt[rows] = np.bitwise_or.reduceat(frontier[A.indices], starts, axis=0)
+        nxt &= ~visited
+        if not nxt.any():
+            return
+        visited |= nxt
+        yield d, nxt
+        frontier = nxt
+
+
 def _score_shortest_path(train, arr):
     A = train.to_scipy_csr()
-    uniq = np.unique(arr[:, 0])
-    row_of = np.searchsorted(uniq, arr[:, 0])
-    dist = np.empty(arr.shape[0], dtype=np.float64)
-    batch = max(1, int(4e6 // max(train.num_nodes, 1)))
-    for lo, hi in _chunks(uniq.size, batch):
-        d = csgraph.dijkstra(A, directed=True, unweighted=True, indices=uniq[lo:hi])
-        sel = (row_of >= lo) & (row_of < hi)
-        dist[sel] = d[row_of[sel] - lo, arr[sel, 1]]
+    # self-pairs keep d = 0 and score 0, as do pairs never reached
+    dist = np.zeros(arr.shape[0], dtype=np.float64)
+    pairs = np.flatnonzero(arr[:, 0] != arr[:, 1])
+    uniq, src_of = np.unique(arr[pairs, 0], return_inverse=True)
+    for lo, hi in _chunks(uniq.size, _bfs_batch(A)):
+        sel = (src_of >= lo) & (src_of < hi)
+        todo, k = pairs[sel], src_of[sel] - lo
+        word, bit = k // 64, np.uint64(1) << (k % 64).astype(np.uint64)
+        for d, words in _bfs_levels(A, uniq[lo:hi]):
+            hit = (words[arr[todo, 1], word] & bit) != 0
+            dist[todo[hit]] = d
+            todo, word, bit = todo[~hit], word[~hit], bit[~hit]
+            if todo.size == 0:
+                break
     return _inverse_distance(dist)
 
 
@@ -184,7 +227,7 @@ def _walk_columns(PT, nodes, walk_steps):
     before it asks for the next batch.
     """
     n = PT.shape[0]
-    batch = max(16, min(1024, int(2e7 // max(n, 1))))
+    batch = max(16, min(256, int(2e7 // max(n, 1))))
     for lo, hi in _chunks(nodes.size, batch):
         cols = np.zeros((n, hi - lo), dtype=np.float64)
         cols[nodes[lo:hi], np.arange(hi - lo)] = 1.0
@@ -265,8 +308,14 @@ def _block_lpi(train, lo, hi, epsilon):
 
 def _block_shortest_path(train, lo, hi):
     A = train.to_scipy_csr()
-    return _inverse_distance(csgraph.dijkstra(
-        A, directed=True, unweighted=True, indices=np.arange(lo, hi)))
+    dist = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
+    for b_lo, b_hi in _chunks(hi - lo, _bfs_batch(A)):
+        for d, words in _bfs_levels(A, np.arange(lo + b_lo, lo + b_hi)):
+            octets = words.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(octets, axis=1, count=b_hi - b_lo,
+                                 bitorder="little")
+            dist[b_lo:b_hi][bits.T.view(bool)] = d
+    return _inverse_distance(dist)
 
 
 def _block_lrw(train, lo, hi, walk_steps):
@@ -328,7 +377,8 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
     reshaped, but no pair list is built except for adamic_adar and
     resource_alloc, which score only their support (the nonzeros of
     A[lo:hi] @ A). Peak memory is O((hi - lo) * n), plus O(n * batch) for
-    lrw's column walk and the support of A[lo:hi] @ A.
+    lrw's column walk, the support of A[lo:hi] @ A, and O((n + nnz) * S / 64)
+    words for shortest_path's BFS of S sources at a time.
 
     Raises ValueError unless 0 <= lo <= hi <= n, and ArithmeticError if the
     block holds a non-finite score.

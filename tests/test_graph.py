@@ -1,4 +1,6 @@
 import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -158,3 +160,42 @@ def test_edge_array_is_canonical():
     arr = g.edge_array()
     assert arr.tolist() == [[0, 2], [1, 3]]
     assert np.all(arr[:, 0] < arr[:, 1])
+
+
+def test_caches_fill_equal_under_threads():
+    # evaluate --jobs shares one Graph across threads; its lazy caches have
+    # no lock, so a race on the first call must cost only duplicate work
+    rng = np.random.default_rng(3)
+    workers = 8
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            g = build_graph(rng.integers(0, 3000, size=(20000, 2)))
+            barrier = threading.Barrier(workers)
+            got = [None] * workers
+
+            def call(t):
+                barrier.wait(timeout=10)
+                if t % 2:  # half the threads race on each cache first
+                    edges = g.edge_array()
+                    csr = g.to_scipy_csr()
+                else:
+                    csr = g.to_scipy_csr()
+                    edges = g.edge_array()
+                got[t] = (edges, csr)
+            threads = [threading.Thread(target=call, args=(t,))
+                       for t in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            edges, csr = g.edge_array(), g.to_scipy_csr()
+            for e, c in got:
+                assert np.array_equal(e, edges)
+                assert c.shape == csr.shape
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(c, part), getattr(csr, part))
+    finally:
+        sys.setswitchinterval(old)

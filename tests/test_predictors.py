@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
-from linkbench import METHODS, MethodSpec, build_graph, predictors, score_method
+from linkbench import (METHODS, MethodSpec, build_graph, generate_price,
+                       make_split, predictors, score_method)
 
 
 def random_graph(n, p, seed):
@@ -200,7 +202,7 @@ def block_cases():
     """(graph, blocks) inputs of the block-form test."""
     rng = np.random.default_rng(1)
     # ids 1000..1099 stay isolated; [300, 1050) crosses the 512-source
-    # block border of top_c_recommend and lrw's 1024-column batch border
+    # block border of top_c_recommend and lrw's 256-column batch borders
     sparse_1100 = build_graph(rng.integers(0, 1000, size=(2500, 2)),
                               num_nodes=1100)
     k6 = build_graph([(i, j) for i in range(6) for j in range(i + 1, 6)])
@@ -225,3 +227,77 @@ def test_score_block_equals_pair_route(spec):
             got = predictors.score_block(g, lo, hi, spec)
             assert got.shape == (hi - lo, n)
             assert np.array_equal(got, want.reshape(hi - lo, n)), (n, lo, hi)
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=repr)
+def test_one_call_equals_two(spec):
+    # the link-prediction cell scores positives and negatives in one call
+    g = generate_price(1100, 5, seed=1)
+    for sampler in ("uniform", "degree-corrected"):
+        split = make_split(g, 0.25, sampler, 3)
+        joint = score_method(split.train, np.concatenate(
+            [split.positives, split.negatives]), spec)
+        apart = np.concatenate([score_method(split.train, split.positives, spec),
+                                score_method(split.train, split.negatives, spec)])
+        assert np.array_equal(joint, apart), sampler
+
+
+def dijkstra_distances(g, sources):
+    """Hop distances from scipy's unweighted Dijkstra: the oracle of the
+    bit-parallel BFS, and shortest_path's kernel before it."""
+    return csgraph.dijkstra(g.to_scipy_csr(), directed=True, unweighted=True,
+                            indices=sources)
+
+
+def dijkstra_pair_scores(g, pairs):
+    uniq = np.unique(pairs[:, 0])
+    dist = dijkstra_distances(g, uniq)
+    return predictors._inverse_distance(
+        dist[np.searchsorted(uniq, pairs[:, 0]), pairs[:, 1]])
+
+
+def bfs_cases():
+    """(graph, pair arrays, source blocks) inputs of the BFS oracle test."""
+    rng = np.random.default_rng(5)
+    # two components of 100 nodes, then ids 200..209 isolated
+    halves = rng.integers(0, 100, size=(260, 2))
+    two = build_graph(np.concatenate([halves[:130], halves[130:] + 100]),
+                      num_nodes=210)
+    k6 = build_graph([(i, j) for i in range(6) for j in range(i + 1, 6)])
+    star = build_graph([(0, j) for j in range(1, 9)])
+    path = build_graph([(i, i + 1) for i in range(299)])  # 299 levels
+    cases = []
+    for g in (two, build_graph([], num_nodes=5), k6, star, path):
+        n = g.num_nodes
+        nodes = np.arange(n)
+        rep = rng.integers(0, n, size=(20, 2))
+        pair_sets = [np.stack([nodes, nodes], axis=1),
+                     np.concatenate([rep, rep, rep[:, ::-1]]),
+                     block_pairs(0, n, n)]
+        # 65 and 129 sources cross the 64-bit word border
+        for count in (65, 129):
+            src = np.repeat(rng.permutation(n)[:count], 4)
+            pair_sets.append(np.stack([src, rng.integers(0, n, src.size)],
+                                      axis=1))
+        blocks = {(0, n), (n - 1, n), (n // 3, min(n, n // 3 + 65)),
+                  (1, min(n, 130))}
+        cases.append((g, pair_sets, sorted(blocks)))
+    return cases
+
+
+@pytest.mark.parametrize("tiny_batches", [False, True])
+def test_bfs_equals_dijkstra(tiny_batches, monkeypatch):
+    if tiny_batches:
+        # 64 sources per batch, so 65 and 129 sources cross batch borders
+        monkeypatch.setattr(predictors, "_BFS_BYTES", 1)
+    spec = MethodSpec("shortest_path")
+    for g, pair_sets, blocks in bfs_cases():
+        for pairs in pair_sets:
+            assert np.array_equal(score_method(g, pairs, spec),
+                                  dijkstra_pair_scores(g, pairs)), g
+        for lo, hi in blocks:
+            want = predictors._inverse_distance(
+                dijkstra_distances(g, np.arange(lo, hi)))
+            assert np.array_equal(predictors.score_block(g, lo, hi, spec),
+                                  want), (g, lo, hi)
+

@@ -62,3 +62,37 @@ def test_sampler_and_top_c_match_reference_loops(g, count, seed, method,
     pair_route = score_method(g, block_pairs(lo, hi, n), spec)
     assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                           pair_route.reshape(hi - lo, n))
+
+
+def dense_shortest_path_scores(g):
+    """1 / d for every pair, with the hop distance d(i, j) read off powers
+    of the dense adjacency matrix as the least k >= 1 with A^k[i, j] > 0;
+    self-pairs and unreachable pairs score 0."""
+    n = g.num_nodes
+    a = np.zeros((n, n), dtype=np.int64)
+    e = g.edge_array()
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
+    dist = np.zeros((n, n))
+    walks = np.eye(n, dtype=np.int64)
+    for k in range(1, n):
+        walks = (walks @ a > 0).astype(np.int64)
+        dist[(walks > 0) & (dist == 0)] = k
+    np.fill_diagonal(dist, 0)
+    return np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_shortest_path_matches_dense_power_oracle(g, data):
+    n = g.num_nodes
+    want = dense_shortest_path_scores(g)
+    node = st.integers(0, n - 1)
+    pairs = np.array(data.draw(st.lists(st.tuples(node, node), min_size=1,
+                                        max_size=60)))
+    spec = MethodSpec("shortest_path")
+    assert np.array_equal(score_method(g, pairs, spec),
+                          want[pairs[:, 0], pairs[:, 1]])
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    assert np.array_equal(predictors.score_block(g, lo, hi, spec),
+                          want[lo:hi])
