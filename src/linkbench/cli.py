@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .harness import BenchmarkConfig, run_evaluation, write_rows_csv, \
 from .metrics import rbo, top_c_recommend, vcmpr_at_c, vcmpr_per_node
 from .nullmodel import expected_pa_auc, fit_lognormal_degrees, size_biased_law
 from .predictors import METHODS, MethodSpec, score_method
-from .sampling import SaturationError, _pair_keys, make_split
+from .sampling import SaturationError, make_split
 
 
 def _load_graph(path):
@@ -51,10 +53,8 @@ def cmd_generate(args) -> int:
         g = generate_price(args.n, args.m, args.seed)
         write_edge_list(g.edge_array(), args.out)
     else:
-        params = LfrParams(n=args.n, tau1=args.tau1, tau2=args.tau2,
-                           mu=args.mu, avg_degree=args.avg_degree,
-                           max_degree=args.max_degree, min_comm=args.min_comm,
-                           max_comm=args.max_comm)
+        params = LfrParams(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(LfrParams)})
         g, labels = generate_lfr(params, args.seed)
         write_edge_list(g.edge_array(), args.out)
         if args.labels_out:
@@ -104,19 +104,11 @@ def cmd_score(args) -> int:
 
 def _check_held_out(train, positives) -> None:
     """Reject a held-out positive that top_c_recommend can never list: a
-    self-pair or a train edge would count as a missed partner.
-
-    Ids outside the train graph are left to vcmpr_per_node's range check.
+    self-pair or a train edge would count as a missed partner, and an id
+    outside the train graph has no list at all.
     """
     pos = _as_pair_array(positives)
-    n = train.num_nodes
-    pos = pos[((pos >= 0) & (pos < n)).all(axis=1)]
-    keys = _pair_keys(pos, n)
-    # sorted edge keys, then a sentinel above every key of ids below n
-    edges = np.append(_pair_keys(train.edge_array(), n),
-                      np.iinfo(np.uint64).max)
-    is_edge = edges[np.searchsorted(edges, keys)] == keys
-    bad = np.flatnonzero((pos[:, 0] == pos[:, 1]) | is_edge)
+    bad = np.flatnonzero((pos[:, 0] == pos[:, 1]) | train.has_edges(pos))
     if bad.size:
         i, j = pos[bad[0]].tolist()
         kind = "a self-pair" if i == j else "a train edge"
@@ -198,14 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     price.set_defaults(func=cmd_generate)
 
     lfr = gen_sub.add_parser("lfr", help="LFR community benchmark graph")
-    lfr.add_argument("--n", type=int, required=True)
-    lfr.add_argument("--tau1", type=float, required=True)
-    lfr.add_argument("--tau2", type=float, required=True)
-    lfr.add_argument("--mu", type=float, required=True)
-    lfr.add_argument("--avg-degree", type=float, required=True)
-    lfr.add_argument("--max-degree", type=int, required=True)
-    lfr.add_argument("--min-comm", type=int, required=True)
-    lfr.add_argument("--max-comm", type=int, required=True)
+    hints = typing.get_type_hints(LfrParams)
+    for f in dataclasses.fields(LfrParams):
+        lfr.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name],
+                         required=True)
     lfr.add_argument("--seed", type=int, default=0)
     lfr.add_argument("--out", required=True)
     lfr.add_argument("--labels-out", default=None)

@@ -363,8 +363,15 @@ def generate_lfr(params: LfrParams, seed) -> tuple[Graph, np.ndarray]:
 
 
 def mixing_fraction(g: Graph, labels) -> float:
-    """Fraction of edges that cross community lines."""
+    """Fraction of edges that cross community lines.
+
+    labels holds one community label per node; any other length raises
+    ValueError.
+    """
     labels = np.asarray(labels)
+    if labels.shape != (g.num_nodes,):
+        raise ValueError(f"expected one label per node ({g.num_nodes}), "
+                         f"got a label array of shape {labels.shape}")
     edges = g.edge_array()
     if edges.shape[0] == 0:
         raise ValueError("graph has no edges")

@@ -20,13 +20,38 @@ class EdgeListParseError(ValueError):
 _MAX_NODES = 2**32
 
 
-def _as_pair_array(pairs) -> np.ndarray:
+def _as_pair_array(pairs, num_nodes: int | None = None) -> np.ndarray:
+    """pairs as an (m, 2) int64 array. With num_nodes, an id outside
+    [0, num_nodes) raises ValueError naming it."""
     arr = np.asarray(pairs, dtype=np.int64)
     if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+        arr = arr.reshape(0, 2)
+    elif arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (m, 2) pair array, got shape {arr.shape}")
+    if num_nodes is not None:
+        bad = arr[(arr < 0) | (arr >= num_nodes)]
+        if bad.size:
+            raise ValueError(f"node id {bad[0]} out of range [0, {num_nodes})")
     return arr
+
+
+def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """One uint64 key ``lo * n + hi`` per unordered pair of ids below n,
+    where lo and hi are the smaller and larger id. Keys sort in the
+    lexicographic order of (lo, hi)."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.uint64)
+    hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.uint64)
+    return lo * np.uint64(n) + hi
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """keys sorted ascending with repeats dropped: np.unique's result by
+    one sort and an adjacent-difference mask, which on uint64 keys is far
+    faster than np.unique itself."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 class Graph:
@@ -34,30 +59,34 @@ class Graph:
 
     Neighbor lists are sorted ascending, contain no self-references and no
     repeats, and every edge appears in both directions (so the degree sum is
-    exactly twice the edge count). Instances are immutable: the backing
-    arrays are marked read-only at construction.
+    exactly twice the edge count). Alongside the CSR the graph keeps the
+    sorted pair key ``lo * n + hi`` of every edge, 8 bytes per edge, from
+    which edge_array and has_edges read. Instances are immutable: the
+    backing arrays are marked read-only at construction.
     """
 
     __slots__ = (
         "_indptr",
         "_indices",
+        "_keys",
         "dropped_self_loops",
         "dropped_duplicates",
-        "_edge_array",
         "_csr",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 dropped_self_loops: int = 0, dropped_duplicates: int = 0):
+                 keys: np.ndarray, dropped_self_loops: int = 0,
+                 dropped_duplicates: int = 0):
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        for arr in (indptr, indices, keys):
+            arr.flags.writeable = False
         self._indptr = indptr
         self._indices = indices
+        self._keys = keys
         self.dropped_self_loops = int(dropped_self_loops)
         self.dropped_duplicates = int(dropped_duplicates)
-        self._edge_array = None
         self._csr = None
 
     # ------------------------------------------------------------------
@@ -70,7 +99,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self._indices.size // 2
+        return self._keys.size
 
     @property
     def indptr(self) -> np.ndarray:
@@ -85,27 +114,33 @@ class Graph:
         """Degree of every node, as an int64 array of length num_nodes."""
         return np.diff(self._indptr)
 
-    def degree(self, i: int) -> int:
-        self._check_node(i)
-        return int(self._indptr[i + 1] - self._indptr[i])
-
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i (read-only view)."""
-        self._check_node(i)
-        return self._indices[self._indptr[i]:self._indptr[i + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        self._check_node(i)
-        self._check_node(j)
-        if i == j:
-            return False
-        row = self.neighbors(i)
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
-
-    def _check_node(self, i) -> None:
         if not 0 <= i < self.num_nodes:
             raise ValueError(f"node id {i} out of range [0, {self.num_nodes})")
+        return self._indices[self._indptr[i]:self._indptr[i + 1]]
+
+    def pair_keys(self, pairs) -> np.ndarray:
+        """The uint64 key ``lo * n + hi`` of each pair in an (m, 2) array:
+        two pairs share a key exactly when they name the same unordered
+        pair. Raises ValueError for a malformed array or an id outside
+        [0, n)."""
+        n = self.num_nodes
+        return _pair_keys(_as_pair_array(pairs, n), n)
+
+    def has_edges(self, pairs) -> np.ndarray:
+        """Bool mask over an (m, 2) pair array: True where the pair, in
+        either orientation, is an edge. Self-pairs give False.
+
+        Raises ValueError for a malformed array or an id outside [0, n).
+        One binary search per pair over the sorted edge keys.
+        """
+        keys = self.pair_keys(pairs)
+        edges = self._keys
+        pos = np.searchsorted(edges, keys)
+        hit = pos < edges.size
+        hit[hit] = edges[pos[hit]] == keys[hit]
+        return hit
 
     # ------------------------------------------------------------------
     # derived views
@@ -114,16 +149,10 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """Canonical (M, 2) edge array with i < j, lexicographically sorted.
 
-        The cache is filled without a lock: threads that race on the first
-        call each build an equal array, so a race costs only duplicate work.
+        Decoded from the edge keys into a new array on each call.
         """
-        if self._edge_array is None:
-            src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-            mask = self._indices > src
-            out = np.stack([src[mask], self._indices[mask]], axis=1)
-            out.flags.writeable = False
-            self._edge_array = out
-        return self._edge_array
+        return np.stack(np.divmod(self._keys, np.uint64(self.num_nodes)),
+                        axis=1).astype(np.int64)
 
     def to_scipy_csr(self) -> sparse.csr_matrix:
         """Adjacency as a scipy CSR matrix with float64 ones (cached).
@@ -159,45 +188,28 @@ def build_graph(pairs, num_nodes: int | None = None) -> Graph:
         Graph with sorted CSR adjacency.
     """
     arr = _as_pair_array(pairs)
-    if arr.size and arr.min() < 0:
-        raise ValueError("node ids must be non-negative")
-    inferred = int(arr.max()) + 1 if arr.size else 0
     if num_nodes is None:
-        num_nodes = inferred
-    elif inferred > num_nodes:
-        raise ValueError(
-            f"node id {inferred - 1} out of range for num_nodes={num_nodes}")
+        num_nodes = int(arr.max()) + 1 if arr.size else 0
     num_nodes = int(num_nodes)
     if num_nodes > _MAX_NODES:
         # checked before indptr, whose size is num_nodes, is allocated
         raise ValueError(f"node id {num_nodes - 1} is too large: ids must be "
                          f"below {_MAX_NODES} so pair keys fit in 64 bits")
+    arr = _as_pair_array(arr, num_nodes)
 
-    if arr.size:
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        loops = int(np.count_nonzero(lo == hi))
-        keep = lo != hi
-        stacked = np.stack([lo[keep], hi[keep]], axis=1)
-        edges = np.unique(stacked, axis=0) if stacked.size else stacked
-        dups = int(stacked.shape[0] - edges.shape[0])
-    else:
-        edges = arr
-        loops = dups = 0
-
-    if edges.size:
-        both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, both[:, 0] + 1, 1)
-        indptr = np.cumsum(indptr)
-        indices = np.ascontiguousarray(both[:, 1])
-    else:
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        indices = np.zeros(0, dtype=np.int64)
-
-    return Graph(indptr, indices, dropped_self_loops=loops, dropped_duplicates=dups)
+    loop = arr[:, 0] == arr[:, 1]
+    keys = _pair_keys(arr[~loop], num_nodes)
+    edge_keys = sorted_unique(keys)
+    # both directions as row * n + col keys: sorted, they list the CSR
+    n = np.uint64(num_nodes)
+    lo, hi = np.divmod(edge_keys, n)
+    rows, cols = np.divmod(np.sort(np.concatenate([edge_keys, hi * n + lo])), n)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows.astype(np.int64), minlength=num_nodes),
+              out=indptr[1:])
+    return Graph(indptr, cols, edge_keys,
+                 dropped_self_loops=np.count_nonzero(loop),
+                 dropped_duplicates=keys.size - edge_keys.size)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import rankdata
 
-from .graph import _as_pair_array
+from .graph import _as_pair_array, sorted_unique
 from .predictors import MethodSpec, score_block
 # kept as metrics.score_method: bench/tracer.py wraps that name
 from .predictors import score_method  # noqa: F401
@@ -77,20 +77,15 @@ def vcmpr_per_node(items: list, positives, top_c: int) -> list:
     """
     if top_c < 1:
         raise ValueError("top_c must be >= 1")
-    pos = _as_pair_array(positives)
+    pos = _as_pair_array(positives, len(items))
     if pos.size == 0:
         raise ValueError("no node has a held-out positive partner")
-    bad = pos[(pos < 0) | (pos >= len(items))]
-    if bad.size:
-        raise ValueError(f"positive node id {bad[0]} out of range "
-                         f"[0, {len(items)})")
     # one key v * n + u per (node v, partner u), each pair in both
     # directions; sorting groups them by node, and repeats are dropped
     n = np.uint64(len(items))
     a = pos.astype(np.uint64)
-    keys = np.sort(np.concatenate([a[:, 0] * n + a[:, 1],
-                                   a[:, 1] * n + a[:, 0]]))
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    keys = sorted_unique(np.concatenate([a[:, 0] * n + a[:, 1],
+                                         a[:, 1] * n + a[:, 0]]))
     owner = keys // n
     starts = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1]]))
     nodes = owner[starts]

@@ -360,11 +360,9 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     Raises ValueError for a malformed pair array or ids outside the train
     graph, and ArithmeticError if the kernel yields a non-finite score.
     """
-    arr = _as_pair_array(pairs)
+    arr = _as_pair_array(pairs, train.num_nodes)
     if arr.size == 0:
         return np.zeros(0, dtype=np.float64)
-    if arr.min() < 0 or arr.max() >= train.num_nodes:
-        raise ValueError("pair ids out of range for the train graph")
     return _check_finite(_KERNELS[spec.method](train, arr, **spec.params()),
                          spec.method)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, _as_pair_array, build_graph
 
 
 class SaturationError(RuntimeError):
@@ -36,9 +36,6 @@ class EdgeSplit:
     train: Graph
     positives: np.ndarray
     negatives: np.ndarray
-    beta: float
-    sampler: str
-    seed: int
 
 
 def split_positive(g: Graph, beta: float, seed) -> tuple[Graph, np.ndarray]:
@@ -66,13 +63,6 @@ def split_positive(g: Graph, beta: float, seed) -> tuple[Graph, np.ndarray]:
     return train, positives
 
 
-def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    """One uint64 key ``min * n + max`` per unordered pair of ids below n."""
-    lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.uint64)
-    hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.uint64)
-    return lo * np.uint64(n) + hi
-
-
 def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
     """Draw the first count distinct non-edges of g, in proposal order.
 
@@ -80,13 +70,11 @@ def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
     self-pairs are rejected. Raises SaturationError past 1e4 * count
     proposals.
     """
-    n = g.num_nodes
-    # edge_array is lexicographic with i < j, so its keys are sorted
-    forbidden = _pair_keys(g.edge_array(), n)
     rng = np.random.default_rng(seed)
     budget = 10_000 * count
     attempts = 0
     accepted = np.zeros(0, dtype=np.uint64)
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
     while accepted.size < count:
         size = min(max(1024, 2 * (count - accepted.size)), budget - attempts)
         if size <= 0:
@@ -95,15 +83,15 @@ def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
                 f"for {count} pairs; the graph is likely near-complete")
         attempts += size
         prop = draw(rng, size)
-        keys = _pair_keys(prop, n)[prop[:, 0] != prop[:, 1]]
-        if forbidden.size:
-            pos = np.minimum(np.searchsorted(forbidden, keys), forbidden.size - 1)
-            keys = keys[forbidden[pos] != keys]
+        prop = np.sort(prop[(prop[:, 0] != prop[:, 1]) & ~g.has_edges(prop)],
+                       axis=1)
+        keys = g.pair_keys(prop)
         _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)]
-        keys = keys[~np.isin(keys, accepted)]
-        accepted = np.concatenate([accepted, keys[:count - accepted.size]])
-    return np.stack(np.divmod(accepted, np.uint64(n)), axis=1).astype(np.int64)
+        first = np.sort(first)
+        first = first[~np.isin(keys[first], accepted)][:count - accepted.size]
+        accepted = np.concatenate([accepted, keys[first]])
+        pairs.append(prop[first])
+    return np.concatenate(pairs)
 
 
 def sample_negative_uniform(g: Graph, count: int, seed) -> np.ndarray:
@@ -167,8 +155,7 @@ def make_split(g: Graph, beta: float, sampler: str, seed: int) -> EdgeSplit:
                             np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64))
     train, positives = split_positive(g, beta, split_seed)
     negatives = _SAMPLERS[sampler](g, positives.shape[0], neg_seed)
-    return EdgeSplit(train=train, positives=positives, negatives=negatives,
-                     beta=beta, sampler=sampler, seed=int(seed))
+    return EdgeSplit(train=train, positives=positives, negatives=negatives)
 
 
 def endpoint_degree_histogram(edges, g: Graph) -> np.ndarray:
@@ -176,9 +163,10 @@ def endpoint_degree_histogram(edges, g: Graph) -> np.ndarray:
 
     Index k of the result is the fraction of endpoint slots whose node has
     degree k in g. Degrees larger than g's maximum cannot occur, so the
-    array has length max-degree + 1.
+    array has length max-degree + 1. An id outside [0, n) raises
+    ValueError.
     """
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    arr = _as_pair_array(edges, g.num_nodes)
     if arr.size == 0:
         raise ValueError("cannot build a histogram from zero edges")
     deg = g.degrees

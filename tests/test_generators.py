@@ -57,7 +57,7 @@ def test_price_seed_clique_only():
     g = generate_price(3, 2, seed=0)
     assert g.num_nodes == 3
     assert g.num_edges == 3
-    assert all(g.degree(i) == 2 for i in range(3))
+    assert all(g.degrees[i] == 2 for i in range(3))
 
 
 def test_price_edge_count_exact():
@@ -219,3 +219,12 @@ def test_mixing_fraction_hand_case():
     g = build_graph([(0, 1), (2, 3), (1, 2)])
     labels = np.array([0, 0, 1, 1])
     assert mixing_fraction(g, labels) == pytest.approx(1 / 3)
+
+
+def test_mixing_fraction_rejects_wrong_label_count():
+    # a longer array was accepted, a shorter one raised IndexError
+    g = build_graph([(0, 1), (2, 3), (1, 2)])
+    for labels in ([0, 0, 1, 1, 1], [0, 0, 1]):
+        with pytest.raises(ValueError, match=rf"one label per node \(4\).*"
+                                             rf"\({len(labels)},\)"):
+            mixing_fraction(g, labels)

@@ -11,17 +11,52 @@ from linkbench import (EdgeListParseError, build_graph, read_edge_list,
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
 
+def reference_build_graph(pairs, num_nodes=None):
+    """The 2-D canonicalisation build_graph replaced (np.unique(axis=0),
+    lexsort, np.add.at), as the oracle: (indptr, indices, dropped self-loops,
+    dropped duplicates, edge array) of a valid pair list."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if num_nodes is None:
+        num_nodes = int(arr.max()) + 1 if arr.size else 0
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    loops = int(np.count_nonzero(lo == hi))
+    stacked = np.stack([lo[lo != hi], hi[lo != hi]], axis=1)
+    edges = np.unique(stacked, axis=0) if stacked.size else stacked
+    dups = int(stacked.shape[0] - edges.shape[0])
+    both = np.concatenate([edges, edges[:, ::-1]], axis=0)
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(indptr, both[:, 0] + 1, 1)
+    indptr = np.cumsum(indptr)
+    src = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    mask = both[:, 1] > src
+    edge_array = np.stack([src[mask], both[:, 1][mask]], axis=1)
+    return indptr, both[:, 1], loops, dups, edge_array
+
+
+def assert_matches_reference(pairs, num_nodes=None):
+    g = build_graph(pairs, num_nodes=num_nodes)
+    indptr, indices, loops, dups, edges = reference_build_graph(pairs,
+                                                                num_nodes)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, dups)
+    assert np.array_equal(g.edge_array(), edges.reshape(-1, 2))
+    return g
+
+
 def test_triangle_degrees():
     g = build_graph(TRIANGLE)
     assert g.num_nodes == 3
     assert g.num_edges == 3
-    assert [g.degree(i) for i in range(3)] == [2, 2, 2]
+    assert [g.degrees[i] for i in range(3)] == [2, 2, 2]
 
 
 def test_duplicates_and_self_loops_dropped_with_counts():
     g = build_graph([(0, 1), (1, 0), (1, 1)])
     assert g.num_edges == 1
-    assert g.has_edge(0, 1)
+    assert g.has_edges([(0, 1)])[0]
     assert g.dropped_duplicates == 1
     assert g.dropped_self_loops == 1
 
@@ -35,7 +70,7 @@ def test_path_degrees():
 def test_num_nodes_override_keeps_isolates():
     g = build_graph([(0, 1)], num_nodes=5)
     assert g.num_nodes == 5
-    assert g.degree(4) == 0
+    assert g.degrees[4] == 0
 
 
 def test_huge_node_id_rejected():
@@ -62,9 +97,9 @@ def test_id_out_of_range_rejected():
         build_graph([(0, 5)], num_nodes=3)
     g = build_graph(TRIANGLE)
     with pytest.raises(ValueError):
-        g.degree(3)
+        g.neighbors(3)
     with pytest.raises(ValueError):
-        g.has_edge(0, 3)
+        g.has_edges([(0, 3)])
 
 
 def test_empty_graph_is_valid():
@@ -75,15 +110,15 @@ def test_empty_graph_is_valid():
 
 def test_has_edge_cases():
     g = build_graph(TRIANGLE)
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 0)
+    assert g.has_edges([(0, 1), (1, 0)]).all()
+    assert not g.has_edges([(0, 0)])[0]
     p = build_graph([(0, 1), (1, 2)])
-    assert not p.has_edge(0, 2)
+    assert not p.has_edges([(0, 2)])[0]
 
 
 def test_star_center_degree():
     g = build_graph([(0, i) for i in range(1, 5)])
-    assert g.degree(0) == 4
+    assert g.degrees[0] == 4
 
 
 def test_adjacency_invariants_random():
@@ -104,6 +139,37 @@ def test_adjacency_invariants_random():
         assert total == 2 * g.num_edges
 
 
+@pytest.mark.parametrize("n, m, extra", [(2, 0, 0), (5, 12, 3), (60, 400, 0),
+                                         (3000, 20000, 7)])
+def test_build_graph_matches_reference(n, m, extra):
+    rng = np.random.default_rng(n + m)
+    pairs = rng.integers(0, n, size=(m, 2))
+    pairs = np.concatenate([pairs, pairs[: m // 3, ::-1]])  # both orientations
+    assert_matches_reference(pairs)
+    assert_matches_reference(pairs, num_nodes=n + extra)
+
+
+def test_has_edges_matches_edge_set():
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 25, size=(80, 2))
+    g = build_graph(pairs, num_nodes=25)
+    edges = {(int(i), int(j)) for i, j in pairs if i != j}
+    edges |= {(j, i) for i, j in edges}
+    grid = np.array([(i, j) for i in range(25) for j in range(25)])
+    want = [(int(i), int(j)) in edges for i, j in grid]
+    assert g.has_edges(grid).tolist() == want    # self and reversed pairs
+    assert g.has_edges(grid[::-1, ::-1]).tolist() == want[::-1]
+    assert g.has_edges(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    edgeless = build_graph([], num_nodes=4)
+    assert not edgeless.has_edges([(0, 1), (2, 2), (3, 0)]).any()
+    for bad in ([(0, 25)], [(-1, 3)], [(24, 2**40)]):
+        with pytest.raises(ValueError, match="out of range"):
+            g.has_edges(bad)
+    for malformed in ([0, 1, 2], [[0, 1, 2]], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="pair array"):
+            g.has_edges(malformed)
+
+
 def test_has_edge_matches_linear_scan():
     rng = np.random.default_rng(1)
     pairs = rng.integers(0, 30, size=(120, 2))
@@ -111,7 +177,7 @@ def test_has_edge_matches_linear_scan():
     for i in range(30):
         row = set(g.neighbors(i).tolist())
         for j in range(30):
-            assert g.has_edge(i, j) == (j in row)
+            assert g.has_edges([(i, j)])[0] == (j in row)
 
 
 def test_read_edge_list_whitespace(tmp_path):
@@ -163,8 +229,8 @@ def test_edge_array_is_canonical():
 
 
 def test_caches_fill_equal_under_threads():
-    # evaluate --jobs shares one Graph across threads; its lazy caches have
-    # no lock, so a race on the first call must cost only duplicate work
+    # evaluate --jobs shares one Graph across threads; its lazy CSR cache
+    # has no lock, so a race on the first call must cost only duplicate work
     rng = np.random.default_rng(3)
     workers = 8
     old = sys.getswitchinterval()

@@ -49,9 +49,10 @@ def brute_score(g, i, j, method, epsilon=0.01, walk_steps=3):
         union = gi | gj
         return len(inter) / len(union) if union else 0.0
     if method == "adamic_adar":
-        return sum(1.0 / math.log(g.degree(z)) for z in inter if g.degree(z) > 1)
+        deg = g.degrees
+        return sum(1.0 / math.log(deg[z]) for z in inter if deg[z] > 1)
     if method == "resource_alloc":
-        return sum(1.0 / g.degree(z) for z in inter)
+        return sum(1.0 / g.degrees[z] for z in inter)
     if method == "lpi":
         a = dense_adjacency(g)
         a2 = a @ a

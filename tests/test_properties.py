@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from linkbench import (METHODS, MethodSpec, SaturationError,  # noqa: E402
                        build_graph, predictors,
                        sample_negative_degree_corrected,
                        sample_negative_uniform, score_method, top_c_recommend)
+from test_graph import assert_matches_reference  # noqa: E402
 from test_metrics import oracle_top_c  # noqa: E402
 from test_predictors import block_pairs  # noqa: E402
 from test_sampling import reference_sample  # noqa: E402
@@ -21,6 +22,40 @@ def small_graphs(draw):
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node), max_size=n * (n - 1) // 2))
     return build_graph(pairs, num_nodes=n)
+
+
+@st.composite
+def raw_pair_lists(draw):
+    """Pair lists with self-loops, both orientations and repeats, and a
+    node count that is None (max id + 1) or above the max id."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    if pairs:
+        picks = st.lists(st.sampled_from(pairs), max_size=20)
+        pairs += [(j, i) for i, j in draw(picks)] + draw(picks)
+    num_nodes = draw(st.sampled_from((None, n, n + 5)))
+    return draw(st.permutations(pairs)), num_nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_pair_lists())
+@example(raw=([], None))
+@example(raw=([], 3))
+def test_build_graph_matches_reference_and_csr_invariants(raw):
+    pairs, num_nodes = raw
+    g = assert_matches_reference(pairs, num_nodes)
+    n, indptr, indices = g.num_nodes, g.indptr, g.indices
+    assert indptr[0] == 0 and indptr[-1] == indices.size == 2 * g.num_edges
+    assert np.all(np.diff(indptr) >= 0)
+    rows = np.repeat(np.arange(n), g.degrees)
+    # rows sorted strictly: no repeats; no self-references; symmetric
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(indices[1:][same_row] > indices[:-1][same_row])
+    assert not np.any(rows == indices)
+    assert sorted(zip(rows.tolist(), indices.tolist())) == sorted(
+        zip(indices.tolist(), rows.tolist()))
+    assert g.num_edges + g.dropped_self_loops + g.dropped_duplicates == len(pairs)
 
 
 def outcome(call, *args):
@@ -48,7 +83,7 @@ def test_sampler_and_top_c_match_reference_loops(g, count, seed, method,
         assert np.array_equal(got, want)
         pairs = {(int(i), int(j)) for i, j in got}
         assert len(pairs) == count
-        assert all(i < j and not g.has_edge(i, j) for i, j in pairs)
+        assert all(i < j for i, j in pairs) and not g.has_edges(got).any()
 
     spec = MethodSpec(method, epsilon=epsilon, walk_steps=walk_steps)
     items = top_c_recommend(g, spec, top_c)

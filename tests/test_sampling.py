@@ -7,7 +7,7 @@ import pytest
 from linkbench import (SaturationError, build_graph, endpoint_degree_histogram,
                        generate_price, make_split, sample_negative_degree_corrected,
                        sample_negative_uniform, sampling, split_positive)
-from linkbench.sampling import _pair_keys
+from linkbench.graph import _pair_keys
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 PATH = [(0, 1), (1, 2)]
@@ -188,7 +188,7 @@ def test_negatives_valid_on_random_graphs(sampler):
         pairs = as_set(neg)
         assert len(pairs) == count                       # no duplicates
         assert all(i < j for i, j in pairs)              # canonical, no loops
-        assert not any(g.has_edge(i, j) for i, j in pairs)
+        assert not g.has_edges(neg).any()
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "degree-corrected"])
@@ -208,6 +208,14 @@ def test_endpoint_histogram_triangle_point_mass():
     h = endpoint_degree_histogram(g.edge_array(), g)
     assert h[2] == 1.0
     assert h.sum() == pytest.approx(1.0)
+
+
+def test_endpoint_histogram_rejects_ids_outside_graph():
+    # -1 used to count as the last node, and 3 raised IndexError
+    g = build_graph(TRIANGLE)
+    for pair, bad in (((-1, 0), -1), ((0, 3), 3)):
+        with pytest.raises(ValueError, match=f"node id {bad} out of range"):
+            endpoint_degree_histogram([pair], g)
 
 
 def test_endpoint_histogram_star_half_half():
@@ -244,12 +252,9 @@ def test_degree_corrected_negatives_match_size_biased_law():
 def test_make_split_wires_everything_together():
     g = generate_price(800, 5, seed=10)
     split = make_split(g, 0.25, "degree-corrected", seed=11)
-    assert split.beta == 0.25
-    assert split.sampler == "degree-corrected"
-    assert split.seed == 11
     assert split.negatives.shape == split.positives.shape
     assert split.train.num_edges + split.positives.shape[0] == g.num_edges
-    assert not any(g.has_edge(int(i), int(j)) for i, j in split.negatives)
+    assert not g.has_edges(split.negatives).any()
     again = make_split(g, 0.25, "degree-corrected", seed=11)
     assert np.array_equal(again.positives, split.positives)
     assert np.array_equal(again.negatives, split.negatives)
