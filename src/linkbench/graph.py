@@ -133,13 +133,19 @@ class Graph:
         either orientation, is an edge. Self-pairs give False.
 
         Raises ValueError for a malformed array or an id outside [0, n).
-        One binary search per pair over the sorted edge keys.
+        The query keys are sorted first, so each binary search over the
+        sorted edge keys starts where the last one ended and memory is read
+        in order; the mask is then put back in query order.
         """
         keys = self.pair_keys(pairs)
+        order = np.argsort(keys)
+        queries = keys[order]
         edges = self._keys
-        pos = np.searchsorted(edges, keys)
-        hit = pos < edges.size
-        hit[hit] = edges[pos[hit]] == keys[hit]
+        pos = np.searchsorted(edges, queries)
+        found = pos < edges.size
+        found[found] = edges[pos[found]] == queries[found]
+        hit = np.empty_like(found)
+        hit[order] = found
         return hit
 
     # ------------------------------------------------------------------

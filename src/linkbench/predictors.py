@@ -5,8 +5,9 @@ Each method has two forms. Its pair kernel takes the train graph and an
 numbers of record. Its block form scores a range of sources against every
 node and returns exactly the pair kernel's numbers, bit for bit. Scoring is
 pure: repeated calls with the same arguments return bit-identical arrays,
-and all scores are finite. Pair batches are chunked internally to bound
-memory.
+and all scores are finite. Pair batches are cut into chunks by a budget on
+the sparse entries each chunk builds, so memory stays bounded whichever
+hubs a chunk draws.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ METHODS = (
     "lrw",
 )
 
-_PAIR_CHUNK = 1 << 18
+# sparse row entries one pair chunk may build; on a 500k-edge graph, budgets
+# of 2**20 to 2**22 ran equally fast
+_CHUNK_BUDGET = 1 << 21
 
 # bytes of the (nnz, words) gather of one BFS level, which sets the sources
 # per BFS batch
@@ -76,14 +79,33 @@ def _chunks(total, step):
         yield lo, min(lo + step, total)
 
 
-def _overlap_sum(A, B, arr):
-    """sum_z A[i, z] * B[j, z] per pair (i, j), _PAIR_CHUNK pairs at a time.
+def _budget_chunks(cost):
+    """Yield (lo, hi) slices that cut items 0..len(cost)-1 into consecutive
+    chunks. Item k costs cost[k] + 1, so free items still fill a chunk. A
+    chunk costs at most _CHUNK_BUDGET, except that an item over budget gets
+    a chunk of its own."""
+    ends = np.cumsum(np.asarray(cost, dtype=np.int64) + 1)
+    lo = 0
+    while lo < ends.size:
+        spent = ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(ends, spent + _CHUNK_BUDGET, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
-    Accumulation is index-ascending, so the result is independent of
-    endpoint order.
+
+def _overlap_sum(A, B, arr):
+    """sum_z A[i, z] * B[j, z] per pair (i, j).
+
+    A chunk of pairs costs the entries of its rows, nnz(A[i]) + nnz(B[j])
+    per pair, cut by _budget_chunks; peak memory is O(budget + pairs),
+    whichever hubs a chunk draws. Each row sums its own entries
+    index-ascending, so the result depends neither on endpoint order nor
+    on where the chunks are cut.
     """
+    cost = np.diff(A.indptr)[arr[:, 0]] + np.diff(B.indptr)[arr[:, 1]]
     out = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in _chunks(arr.shape[0], _PAIR_CHUNK):
+    for lo, hi in _budget_chunks(cost):
         rows = A[arr[lo:hi, 0]].multiply(B[arr[lo:hi, 1]])
         out[lo:hi] = np.asarray(rows.sum(axis=1)).ravel()
     return out
@@ -134,17 +156,27 @@ def _score_resource_alloc(train, arr):
 
 
 def _score_lpi(train, arr, epsilon):
+    """paths2 + epsilon * paths3, the 2- and 3-walk counts of each pair.
+
+    paths3(i, j) is A^2[i] . A[j], a symmetric integer, so each pair takes
+    its A^2 row from the endpoint with the smaller two-hop volume
+    vol2 = A @ deg, which bounds the entries of that row. A chunk costs
+    vol2[src] + deg[trg] per pair, cut by _budget_chunks; peak memory is
+    O(budget + pairs), whichever hubs a chunk draws. Every term is an
+    exact integer in float64, so neither orientation nor chunking moves a
+    score.
+    """
     A = train.to_scipy_csr()
-    out = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in _chunks(arr.shape[0], 1 << 15):
-        src = arr[lo:hi, 0]
-        trg = arr[lo:hi, 1]
-        paths2 = _overlap_sum(A, A, arr[lo:hi])
-        # walk counts of length 3: rows of A^2 for the sources, dotted with
-        # the target rows; integer-valued, so exact in float64
-        paths3 = np.asarray((A[src] @ A).multiply(A[trg]).sum(axis=1)).ravel()
-        out[lo:hi] = paths2 + epsilon * paths3
-    return out
+    deg = train.degrees
+    vol2 = (A @ deg).astype(np.int64)
+    flip = vol2[arr[:, 1]] < vol2[arr[:, 0]]
+    src = np.where(flip, arr[:, 1], arr[:, 0])
+    trg = np.where(flip, arr[:, 0], arr[:, 1])
+    paths3 = np.empty(arr.shape[0], dtype=np.float64)
+    for lo, hi in _budget_chunks(vol2[src] + deg[trg]):
+        walks = (A[src[lo:hi]] @ A).multiply(A[trg[lo:hi]])
+        paths3[lo:hi] = np.asarray(walks.sum(axis=1)).ravel()
+    return _overlap_sum(A, A, arr) + epsilon * paths3
 
 
 def _bfs_batch(A):
@@ -356,6 +388,11 @@ def _check_finite(scores, method):
 
 def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     """Scores of ``spec.method`` for an (m, 2) pair array on the train graph.
+
+    The common-neighbour family (cn, jaccard, adamic_adar, resource_alloc)
+    and lpi build sparse rows for chunks of pairs cut by a fixed entry
+    budget, so their peak memory is O(budget + pairs), whichever hubs a
+    chunk draws.
 
     Raises ValueError for a malformed pair array or ids outside the train
     graph, and ArithmeticError if the kernel yields a non-finite score.

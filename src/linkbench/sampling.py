@@ -113,7 +113,8 @@ def sample_negative_degree_corrected(g: Graph, count: int, seed) -> np.ndarray:
 
     Endpoint probabilities use g's degrees, which is equivalent to drawing
     uniformly from the multiset that lists each node once per incident
-    edge. Nodes of degree 0 are never selected.
+    edge. Nodes of degree 0 are never selected. That multiset is kept as a
+    stub table of 2 * num_edges int64 node ids, O(m) memory.
     """
     n = g.num_nodes
     deg = g.degrees
@@ -126,11 +127,10 @@ def sample_negative_degree_corrected(g: Graph, count: int, seed) -> np.ndarray:
         raise ValueError(
             f"requested {count} negatives but only {available} non-edges "
             f"exist between nodes of positive degree")
-    cum = np.cumsum(deg)
+    stub = np.repeat(np.arange(n, dtype=np.int64), deg)
 
     def draw(rng, size):
-        r = rng.integers(0, total, size=(size, 2), dtype=np.int64)
-        return np.searchsorted(cum, r, side="right").astype(np.int64)
+        return stub[rng.integers(0, total, size=(size, 2), dtype=np.int64)]
 
     return _rejection_sample(draw, g, count, seed)
 

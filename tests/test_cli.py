@@ -9,6 +9,7 @@ import pytest
 from linkbench import (MethodSpec, build_graph, expected_pa_auc,
                        fit_lognormal_degrees, read_edge_list, score_method,
                        write_edge_list)
+from linkbench import cli
 from linkbench.cli import main
 
 
@@ -221,3 +222,26 @@ def test_evaluate_bad_config_exits_two(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and "m_per_node" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_main_parses_each_call_afresh_with_one_parser(tmp_path, capsys):
+    # main builds its parser once per process; a second subcommand, and a
+    # default that an earlier call overrode, must still parse as if new
+    graph_file = tmp_path / "g.edges"
+    assert main(["generate", "price", "--n", "120", "--m", "3", "--seed", "4",
+                 "--out", str(graph_file)]) == 0
+    assert main(["split", "--graph", str(graph_file), "--negative",
+                 "degree-corrected", "--seed", "2",
+                 "--out-prefix", str(tmp_path / "dc")]) == 0
+    assert main(["split", "--graph", str(graph_file),
+                 "--out-prefix", str(tmp_path / "un")]) == 0
+    assert build_graph(read_edge_list(graph_file)).num_nodes == 120
+    dc = json.loads((tmp_path / "dc.json").read_text())
+    un = json.loads((tmp_path / "un.json").read_text())
+    assert (dc["negative"], dc["seed"]) == ("degree-corrected", 2)
+    assert (un["negative"], un["seed"], un["beta"]) == ("uniform", 0, 0.25)
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "--graph", str(graph_file)])
+    assert exc.value.code == 2
+    assert "--out-prefix" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from linkbench import (EdgeListParseError, build_graph, read_edge_list,
-                       write_edge_list)
+from linkbench import (EdgeListParseError, build_graph, generate_price,
+                       read_edge_list, write_edge_list)
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -168,6 +168,37 @@ def test_has_edges_matches_edge_set():
     for malformed in ([0, 1, 2], [[0, 1, 2]], np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="pair array"):
             g.has_edges(malformed)
+
+
+def reference_has_edges(g, pairs):
+    """has_edges before it sorted its queries: one binary search per pair,
+    in query order, over the sorted edge keys."""
+    edges = g.pair_keys(g.edge_array())
+    keys = g.pair_keys(pairs)
+    pos = np.searchsorted(edges, keys)
+    hit = pos < edges.size
+    hit[hit] = edges[pos[hit]] == keys[hit]
+    return hit
+
+
+def test_has_edges_equals_unsorted_search():
+    g = generate_price(3000, 4, seed=2)
+    rng = np.random.default_rng(3)
+    edges = g.edge_array()
+    stubs = np.repeat(np.arange(g.num_nodes), g.degrees)
+    nodes = np.arange(g.num_nodes)
+    queries = [rng.integers(0, g.num_nodes, size=(20_000, 2)),
+               stubs[rng.integers(0, stubs.size, size=(20_000, 2))],
+               edges[::-1, ::-1], np.stack([nodes, nodes], axis=1)]
+    mixed = np.concatenate(queries)
+    mixed = np.concatenate([mixed, mixed[:5000]])[rng.permutation(
+        mixed.shape[0] + 5000)]
+    for pairs in queries + [mixed, mixed[:1], np.zeros((0, 2), np.int64)]:
+        assert np.array_equal(g.has_edges(pairs),
+                              reference_has_edges(g, pairs))
+    edgeless = build_graph([], num_nodes=6)
+    assert np.array_equal(edgeless.has_edges(queries[0] % 6),
+                          reference_has_edges(edgeless, queries[0] % 6))
 
 
 def test_has_edge_matches_linear_scan():

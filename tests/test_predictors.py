@@ -302,3 +302,86 @@ def test_bfs_equals_dijkstra(tiny_batches, monkeypatch):
             assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                                   want), (g, lo, hi)
 
+
+def reference_overlap_sum(A, B, arr):
+    """_overlap_sum before budgeted chunks: 2**18 pairs at a time."""
+    out = np.empty(arr.shape[0], dtype=np.float64)
+    for lo in range(0, arr.shape[0], 1 << 18):
+        hi = min(lo + (1 << 18), arr.shape[0])
+        rows = A[arr[lo:hi, 0]].multiply(B[arr[lo:hi, 1]])
+        out[lo:hi] = np.asarray(rows.sum(axis=1)).ravel()
+    return out
+
+
+def reference_score_lpi(train, arr, epsilon):
+    """_score_lpi before orientation and budgeted chunks: the A^2 row of
+    each pair's first endpoint, 2**15 pairs at a time."""
+    A = train.to_scipy_csr()
+    out = np.empty(arr.shape[0], dtype=np.float64)
+    for lo in range(0, arr.shape[0], 1 << 15):
+        hi = min(lo + (1 << 15), arr.shape[0])
+        src = arr[lo:hi, 0]
+        trg = arr[lo:hi, 1]
+        paths2 = reference_overlap_sum(A, A, arr[lo:hi])
+        paths3 = np.asarray((A[src] @ A).multiply(A[trg]).sum(axis=1)).ravel()
+        out[lo:hi] = paths2 + epsilon * paths3
+    return out
+
+
+def test_budget_chunks_cover_in_order_within_budget(monkeypatch):
+    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 10)
+    # each item costs cost + 1; the 20 is over budget and stands alone
+    cost = np.array([0, 3, 20, 0, 0, 5, 4, 9, 0])
+    assert list(predictors._budget_chunks(cost)) == [
+        (0, 2), (2, 3), (3, 6), (6, 7), (7, 8), (8, 9)]
+    assert list(predictors._budget_chunks(np.zeros(0, dtype=np.int64))) == []
+    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1)
+    assert list(predictors._budget_chunks(np.zeros(3, dtype=np.int64))) == [
+        (0, 1), (1, 2), (2, 3)]
+
+
+def hub_pairs():
+    """(train, pairs) on a hub-heavy Price graph: positives, both
+    samplers' negatives, reversed and repeated pairs, and self-pairs,
+    the largest hub's among them."""
+    g = generate_price(3000, 4, seed=2)
+    split = make_split(g, 0.25, "uniform", 5)
+    dc = make_split(g, 0.25, "degree-corrected", 5).negatives
+    hub = int(np.argmax(split.train.degrees))
+    rng = np.random.default_rng(6)
+    base = np.concatenate([split.positives, split.negatives, dc,
+                           [(hub, j) for j in range(0, 3000, 97)]])
+    some = base[rng.integers(0, base.shape[0], 500)]
+    selfs = np.stack([np.arange(0, 3000, 61), np.arange(0, 3000, 61)], axis=1)
+    pairs = np.concatenate([base, some[:, ::-1], some, selfs, [(hub, hub)]])
+    return split.train, pairs[rng.permutation(pairs.shape[0])]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 997, 1 << 14])
+def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
+    train, pairs = hub_pairs()
+    if budget == 1:
+        # a chunk per pair is slow; a shuffled slice keeps every kind
+        pairs = pairs[:1000]
+        assert (pairs[:, 0] == pairs[:, 1]).any()
+    methods = ("cn", "jaccard", "adamic_adar", "resource_alloc")
+    with monkeypatch.context() as m:
+        m.setattr(predictors, "_overlap_sum", reference_overlap_sum)
+        want = {name: score_method(train, pairs, MethodSpec(name))
+                for name in methods}
+    for epsilon in (0.01, 0.5):
+        want[epsilon] = reference_score_lpi(train, pairs, epsilon)
+    if budget is not None:
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
+        # 997 and 2**14 put chunk borders mid-array, with several pairs in
+        # most chunks; 1 gives every pair a chunk of its own
+        deg = train.degrees
+        cost = deg[pairs[:, 0]] + deg[pairs[:, 1]]
+        chunks = list(predictors._budget_chunks(cost))
+        assert 1 < len(chunks) and (budget == 1) == (len(chunks) == len(pairs))
+    for name in methods:
+        got = score_method(train, pairs, MethodSpec(name))
+        assert np.array_equal(got, want[name]), name
+    for epsilon in (0.01, 0.5):
+        got = score_method(train, pairs, MethodSpec("lpi", epsilon=epsilon))
+        assert np.array_equal(got, want[epsilon]), epsilon

@@ -131,3 +131,28 @@ def test_shortest_path_matches_dense_power_oracle(g, data):
     hi = data.draw(st.integers(lo, n))
     assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                           want[lo:hi])
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=small_graphs(), epsilon=st.floats(1e-6, 10.0), data=st.data())
+def test_lpi_and_cn_match_dense_walk_counts(g, epsilon, data):
+    # paths2 = A @ A and paths3 = A @ A @ A count walks exactly, so
+    # paths2 + epsilon * paths3 rounds once, as lpi's kernels do
+    n = g.num_nodes
+    a = np.zeros((n, n), dtype=np.int64)
+    e = g.edge_array()
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
+    paths2 = (a @ a).astype(np.float64)
+    paths3 = (a @ a @ a).astype(np.float64)
+    cases = [(MethodSpec("cn"), paths2),
+             (MethodSpec("lpi", epsilon=epsilon), paths2 + epsilon * paths3)]
+    node = st.integers(0, n - 1)
+    pairs = np.array(data.draw(st.lists(st.tuples(node, node), min_size=1,
+                                        max_size=60)))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    for spec, want in cases:
+        assert np.array_equal(score_method(g, pairs, spec),
+                              want[pairs[:, 0], pairs[:, 1]]), spec
+        assert np.array_equal(predictors.score_block(g, lo, hi, spec),
+                              want[lo:hi]), spec

@@ -155,6 +155,49 @@ def reference_sample(fn, g, count, seed):
         return fn(g, count, seed)
 
 
+def reference_degree_corrected_draw(g):
+    """The degree-corrected endpoint draw before the stub table: a binary
+    search of each uniform stub index in the cumulative degrees."""
+    cum = np.cumsum(g.degrees)
+    total = int(cum[-1])
+
+    def draw(rng, size):
+        r = rng.integers(0, total, size=(size, 2), dtype=np.int64)
+        return np.searchsorted(cum, r, side="right").astype(np.int64)
+
+    return draw
+
+
+def degree_corrected_draw(g):
+    """The draw that sample_negative_degree_corrected hands to the
+    rejection loop."""
+    draws = []
+    with mock.patch.object(sampling, "_rejection_sample",
+                           lambda draw, *args: draws.append(draw)):
+        sample_negative_degree_corrected(g, 1, 0)
+    return draws[0]
+
+
+def test_degree_corrected_draw_equals_cumulative_search():
+    # isolated ids first, last and in between, a star, and a Price graph
+    gapped = build_graph([(1, 2), (2, 3), (3, 5), (1, 5), (5, 6)],
+                         num_nodes=9)
+    star = build_graph([(0, j) for j in range(1, 9)])
+    for g in (gapped, star, generate_price(2000, 3, seed=4)):
+        got = degree_corrected_draw(g)
+        want = reference_degree_corrected_draw(g)
+        for seed in (0, 1):
+            ids = got(np.random.default_rng(seed), 20_000)
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, want(np.random.default_rng(seed),
+                                            20_000))
+        count = 3 if g is gapped else 5
+        for seed in (0, 7):
+            assert np.array_equal(
+                sample_negative_degree_corrected(g, count, seed),
+                sampling._rejection_sample(want, g, count, seed))
+
+
 SAMPLER_FNS = (sample_negative_uniform, sample_negative_degree_corrected)
 
 
