@@ -32,21 +32,12 @@ def _load_graph(path):
     return build_graph(read_edge_list(path))
 
 
-def _method_spec(args) -> MethodSpec:
-    kwargs = {"method": args.method}
-    if getattr(args, "epsilon", None) is not None:
-        kwargs["epsilon"] = args.epsilon
-    if getattr(args, "walk_steps", None) is not None:
-        kwargs["walk_steps"] = args.walk_steps
-    return MethodSpec(**kwargs)
-
-
 def _add_method_flags(parser) -> None:
     parser.add_argument("--method", required=True, choices=METHODS)
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="3-step walk weight for lpi (default 0.01)")
-    parser.add_argument("--walk-steps", type=int, default=None,
-                        help="walk length for lrw (default 3)")
+    parser.add_argument("--epsilon", type=float, default=MethodSpec.epsilon,
+                        help="3-step walk weight for lpi (default %(default)s)")
+    parser.add_argument("--walk-steps", type=int, default=MethodSpec.walk_steps,
+                        help="walk length for lrw (default %(default)s)")
 
 
 def cmd_generate(args) -> int:
@@ -92,7 +83,7 @@ def cmd_split(args) -> int:
 def cmd_score(args) -> int:
     train = _load_graph(args.train)
     pairs = read_edge_list(args.pairs)
-    spec = _method_spec(args)
+    spec = MethodSpec(args.method, args.epsilon, args.walk_steps)
     scores = score_method(train, pairs, spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -121,7 +112,8 @@ def cmd_recommend(args) -> int:
     train = _load_graph(args.train)
     positives = read_edge_list(args.pos)
     _check_held_out(train, positives)
-    recs = top_c_recommend(train, _method_spec(args), args.top_c)
+    spec = MethodSpec(args.method, args.epsilon, args.walk_steps)
+    recs = top_c_recommend(train, spec, args.top_c)
     rows = vcmpr_per_node(recs, positives, args.top_c)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 from .graph import Graph, build_graph, read_edge_list
 from .generators import LfrParams, generate_lfr, generate_price
 from .metrics import auc_roc, rbo, top_c_recommend, vcmpr_at_c
-from .predictors import MethodSpec, score_method
+from .predictors import MethodSpec, _is_number, score_method
 from .sampling import make_split, split_positive
 
 SAMPLERS = ("uniform", "degree-corrected")
@@ -38,7 +39,10 @@ def derive_seed(master_seed: int, graph_id: str, sampler: str, repeat: int) -> i
 
 
 def _check_keys(where: str, entry, required, optional=()) -> None:
-    """Raise ValueError naming the missing and the unknown keys of entry."""
+    """Raise ValueError naming the missing and the unknown keys of entry,
+    or saying that entry is not an object."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object, got {entry!r}")
     missing = sorted(set(required) - set(entry))
     unknown = sorted(set(entry) - set(required) - set(optional))
     if missing:
@@ -104,20 +108,20 @@ class BenchmarkConfig:
             raise ValueError("config needs at least one graph")
         if not self.methods:
             raise ValueError("config needs at least one method")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must be in (0, 1)")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        if not _is_number(self.beta) or not 0 < self.beta < 1:
+            raise ValueError(f"beta must be a number in (0, 1), got {self.beta!r}")
+        if not _is_number(self.repeats, numbers.Integral) or self.repeats < 1:
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
         for key, allowed in (("samplers", SAMPLERS), ("tasks", TASKS)):
             chosen = getattr(self, key)
-            if (not chosen or len(set(chosen)) != len(chosen)
-                    or not set(chosen) <= set(allowed)):
+            if (not chosen or not all(c in allowed for c in chosen)
+                    or len(set(chosen)) != len(chosen)):
                 raise ValueError(
                     f"{key} must be distinct members of {allowed}, got {chosen}")
-        if self.top_c < 1:
-            raise ValueError("top_c must be >= 1")
-        if not 0 < self.rbo_p < 1:
-            raise ValueError("rbo_p must be in (0, 1)")
+        if not _is_number(self.top_c, numbers.Integral) or self.top_c < 1:
+            raise ValueError(f"top_c must be an integer >= 1, got {self.top_c!r}")
+        if not _is_number(self.rbo_p) or not 0 < self.rbo_p < 1:
+            raise ValueError(f"rbo_p must be a number in (0, 1), got {self.rbo_p!r}")
         ids = [g.graph_id for g in self.graphs]
         if len(set(ids)) != len(ids):
             raise ValueError("graph ids must be unique")
@@ -130,6 +134,9 @@ class BenchmarkConfig:
         optional = ("beta", "repeats", "samplers", "top_c", "rbo_p",
                     "master_seed", "tasks")
         _check_keys("config", data, ("graphs", "methods"), optional)
+        for key in ("graphs", "methods", "samplers", "tasks"):
+            if key in data and not isinstance(data[key], (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {data[key]!r}")
 
         graphs = []
         for entry in data["graphs"]:
@@ -139,6 +146,11 @@ class BenchmarkConfig:
             gid = entry.get("id")
             path = entry.get("path")
             generator = entry.get("generator")
+            if path is not None and not isinstance(path, str):
+                raise ValueError(f"graph entry: path must be a string, got {path!r}")
+            if generator is not None and not isinstance(generator, dict):
+                raise ValueError(f"graph entry: generator must be an object, "
+                                 f"got {generator!r}")
             if gid is None:
                 if path is not None:
                     gid = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]

@@ -28,7 +28,9 @@ def auc_roc(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
-# sources scored per score_block call in top_c_recommend
+# sources scored per score_block call in top_c_recommend; not sized from
+# predictors._CHUNK_BUDGET, whose 2**21 / n would give rec-lfr blocks of
+# 1,048 sources and double each (block, n) array (lpi's block holds three)
 _REC_BLOCK = 512
 
 

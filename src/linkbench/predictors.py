@@ -1,18 +1,18 @@
 """Topology-based link scorers evaluated on a train graph.
 
-Each method has two forms. Its pair kernel takes the train graph and an
-(m, 2) array of node pairs and returns float64 scores; those are the
-numbers of record. Its block form scores a range of sources against every
-node and returns exactly the pair kernel's numbers, bit for bit. Scoring is
-pure: repeated calls with the same arguments return bit-identical arrays,
-and all scores are finite. Pair batches are cut into chunks by a budget on
-the sparse entries each chunk builds, so memory stays bounded whichever
-hubs a chunk draws.
+_FORMS lists each method's two forms. Its pair kernel (train, arr, spec)
+scores an (m, 2) pair array in float64; those are the numbers of record.
+Its block form (train, lo, hi, spec) scores sources lo..hi-1 against every
+node, bit-identical to the pair kernel. Only lpi reads spec.epsilon and only
+lrw spec.walk_steps. Scoring is pure and every score is finite; memory is
+bounded by one budget, _CHUNK_BUDGET, whichever hubs a chunk draws.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,24 +20,12 @@ from scipy import sparse
 
 from .graph import _as_pair_array
 
-METHODS = (
-    "pa",
-    "cn",
-    "jaccard",
-    "adamic_adar",
-    "resource_alloc",
-    "lpi",
-    "shortest_path",
-    "lrw",
-)
-
-# sparse row entries one pair chunk may build; on a 500k-edge graph, budgets
-# of 2**20 to 2**22 ran equally fast
+# One budget bounds the pair kernels' memory: the sparse row entries one
+# pair chunk may build, and the uint64 words (2**21 = 16 MiB) of the
+# (nnz, S / 64) gather of one BFS level over S sources. Pair budgets of
+# 2**20 to 2**22 ran equally fast on a 500k-edge graph, but lp-large's two
+# lpi cells took 2.67 -> 2.88 s at 2**20.
 _CHUNK_BUDGET = 1 << 21
-
-# bytes of the (nnz, words) gather of one BFS level, which sets the sources
-# per BFS batch
-_BFS_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -55,21 +43,25 @@ class MethodSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-        if self.walk_steps < 2:
-            raise ValueError("walk_steps must be >= 2")
-
-    def params(self) -> dict:
-        """Keyword arguments of this method's kernel."""
-        if self.method == "lpi":
-            return {"epsilon": self.epsilon}
-        if self.method == "lrw":
-            return {"walk_steps": self.walk_steps}
-        return {}
+        if not _is_number(self.epsilon) or not self.epsilon > 0:
+            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon!r}")
+        if not _is_number(self.walk_steps, numbers.Integral) or self.walk_steps < 2:
+            raise ValueError(f"walk_steps must be an integer >= 2, got {self.walk_steps!r}")
 
 
-def _score_pa(train, arr) -> np.ndarray:
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is a kind of number, finite if real, and not a bool."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (kind is numbers.Integral or math.isfinite(value)))
+
+
+def _reciprocal(x):
+    """1 / x where x > 0, else 0, in float64; broadcasts."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
+
+
+def _score_pa(train, arr, spec) -> np.ndarray:
     deg = train.degrees
     return (deg[arr[:, 0]] * deg[arr[:, 1]]).astype(np.float64)
 
@@ -83,7 +75,8 @@ def _budget_chunks(cost):
     """Yield (lo, hi) slices that cut items 0..len(cost)-1 into consecutive
     chunks. Item k costs cost[k] + 1, so free items still fill a chunk. A
     chunk costs at most _CHUNK_BUDGET, except that an item over budget gets
-    a chunk of its own."""
+    a chunk of its own, so a caller whose costs count the entries an item
+    builds holds O(_CHUNK_BUDGET + items) entries at a time."""
     ends = np.cumsum(np.asarray(cost, dtype=np.int64) + 1)
     lo = 0
     while lo < ends.size:
@@ -111,7 +104,7 @@ def _overlap_sum(A, B, arr):
     return out
 
 
-def _score_cn(train, arr):
+def _score_cn(train, arr, spec):
     A = train.to_scipy_csr()
     return _overlap_sum(A, A, arr)
 
@@ -125,9 +118,9 @@ def _jaccard(cn, deg_a, deg_b):
     return out
 
 
-def _score_jaccard(train, arr):
+def _score_jaccard(train, arr, spec):
     deg = train.degrees.astype(np.float64)
-    return _jaccard(_score_cn(train, arr), deg[arr[:, 0]], deg[arr[:, 1]])
+    return _jaccard(_score_cn(train, arr, spec), deg[arr[:, 0]], deg[arr[:, 1]])
 
 
 def _column_weighted(A, weights):
@@ -139,23 +132,17 @@ def _score_weighted_cn(train, arr, weights):
     return _overlap_sum(A, _column_weighted(A, weights), arr)
 
 
-def _score_adamic_adar(train, arr):
-    deg = train.degrees
-    w = np.zeros(train.num_nodes, dtype=np.float64)
-    big = deg >= 2  # ln(1) = 0 would blow up, degree <= 1 hubs carry no signal anyway
-    w[big] = 1.0 / np.log(deg[big].astype(np.float64))
+def _score_adamic_adar(train, arr, spec):
+    # degree <= 1 nodes weigh 0: ln(1) = 0, and they carry no signal anyway
+    w = _reciprocal(np.log(np.maximum(train.degrees, 1)))
     return _score_weighted_cn(train, arr, w)
 
 
-def _score_resource_alloc(train, arr):
-    deg = train.degrees
-    w = np.zeros(train.num_nodes, dtype=np.float64)
-    pos = deg >= 1
-    w[pos] = 1.0 / deg[pos].astype(np.float64)
-    return _score_weighted_cn(train, arr, w)
+def _score_resource_alloc(train, arr, spec):
+    return _score_weighted_cn(train, arr, _reciprocal(train.degrees))
 
 
-def _score_lpi(train, arr, epsilon):
+def _score_lpi(train, arr, spec):
     """paths2 + epsilon * paths3, the 2- and 3-walk counts of each pair.
 
     paths3(i, j) is A^2[i] . A[j], a symmetric integer, so each pair takes
@@ -176,13 +163,13 @@ def _score_lpi(train, arr, epsilon):
     for lo, hi in _budget_chunks(vol2[src] + deg[trg]):
         walks = (A[src[lo:hi]] @ A).multiply(A[trg[lo:hi]])
         paths3[lo:hi] = np.asarray(walks.sum(axis=1)).ravel()
-    return _overlap_sum(A, A, arr) + epsilon * paths3
+    return _overlap_sum(A, A, arr) + spec.epsilon * paths3
 
 
 def _bfs_batch(A):
-    """Sources per BFS batch: a multiple of 64 whose level gather fits
-    _BFS_BYTES."""
-    return 64 * max(1, _BFS_BYTES // (8 * max(A.nnz, 1)))
+    """Sources per BFS batch: a multiple S of 64 whose (nnz, S / 64) level
+    gather holds at most max(_CHUNK_BUDGET, nnz) uint64 words."""
+    return 64 * max(1, _CHUNK_BUDGET // max(A.nnz, 1))
 
 
 def _bfs_levels(A, sources):
@@ -212,7 +199,7 @@ def _bfs_levels(A, sources):
         frontier = nxt
 
 
-def _score_shortest_path(train, arr):
+def _score_shortest_path(train, arr, spec):
     A = train.to_scipy_csr()
     # self-pairs keep d = 0 and score 0, as do pairs never reached
     dist = np.zeros(arr.shape[0], dtype=np.float64)
@@ -228,26 +215,15 @@ def _score_shortest_path(train, arr):
             todo, word, bit = todo[~hit], word[~hit], bit[~hit]
             if todo.size == 0:
                 break
-    return _inverse_distance(dist)
-
-
-def _inverse_distance(dist):
-    """1 / d where the distance d is finite and positive, else 0."""
-    out = np.zeros(dist.shape, dtype=np.float64)
-    ok = np.isfinite(dist) & (dist > 0)
-    out[ok] = 1.0 / dist[ok]
-    return out
+    return _reciprocal(dist)
 
 
 def _lrw_operators(train):
     """(q, P^T) of the local random walk: q = deg / 2m and P = D^-1 A."""
     deg = train.degrees.astype(np.float64)
     q = deg / (2.0 * train.num_edges)
-    inv = np.zeros(train.num_nodes, dtype=np.float64)
-    nz = deg > 0
-    inv[nz] = 1.0 / deg[nz]
     # with A symmetric, P^T is A with columns scaled by 1/deg
-    return q, _column_weighted(train.to_scipy_csr(), inv)
+    return q, _column_weighted(train.to_scipy_csr(), _reciprocal(deg))
 
 
 def _walk_columns(PT, nodes, walk_steps):
@@ -259,6 +235,8 @@ def _walk_columns(PT, nodes, walk_steps):
     before it asks for the next batch.
     """
     n = PT.shape[0]
+    # 2e7 / n floats in 16..256 columns, not _CHUNK_BUDGET / n: at the
+    # latter's 419 columns an lp-price lrw cell took 0.44 -> 0.51 s
     batch = max(16, min(256, int(2e7 // max(n, 1))))
     for lo, hi in _chunks(nodes.size, batch):
         cols = np.zeros((n, hi - lo), dtype=np.float64)
@@ -268,7 +246,7 @@ def _walk_columns(PT, nodes, walk_steps):
         yield lo, hi, cols
 
 
-def _score_lrw(train, arr, walk_steps):
+def _score_lrw(train, arr, spec):
     if train.num_edges == 0:
         return np.zeros(arr.shape[0], dtype=np.float64)
     q, PT = _lrw_operators(train)
@@ -276,7 +254,7 @@ def _score_lrw(train, arr, walk_steps):
     col_of = col_of.reshape(arr.shape)
     pi_fwd = np.zeros(arr.shape[0], dtype=np.float64)
     pi_bwd = np.zeros(arr.shape[0], dtype=np.float64)
-    for lo, hi, cols in _walk_columns(PT, uniq, walk_steps):
+    for lo, hi, cols in _walk_columns(PT, uniq, spec.walk_steps):
         sel = (col_of[:, 0] >= lo) & (col_of[:, 0] < hi)
         pi_fwd[sel] = cols[arr[sel, 1], col_of[sel, 0] - lo]
         sel = (col_of[:, 1] >= lo) & (col_of[:, 1] < hi)
@@ -285,60 +263,46 @@ def _score_lrw(train, arr, walk_steps):
     return q[arr[:, 0]] * pi_fwd + q[arr[:, 1]] * pi_bwd
 
 
-_KERNELS = {
-    "pa": _score_pa,
-    "cn": _score_cn,
-    "jaccard": _score_jaccard,
-    "adamic_adar": _score_adamic_adar,
-    "resource_alloc": _score_resource_alloc,
-    "lpi": _score_lpi,
-    "shortest_path": _score_shortest_path,
-    "lrw": _score_lrw,
-}
-
-
-def _block_pa(train, lo, hi):
+def _block_pa(train, lo, hi, spec):
     deg = train.degrees
     return np.multiply.outer(deg[lo:hi], deg).astype(np.float64)
 
 
-def _block_cn(train, lo, hi):
+def _block_cn(train, lo, hi, spec):
     A = train.to_scipy_csr()
     return (A[lo:hi] @ A).toarray()
 
 
-def _block_jaccard(train, lo, hi):
+def _block_jaccard(train, lo, hi, spec):
     deg = train.degrees.astype(np.float64)
-    return _jaccard(_block_cn(train, lo, hi), deg[lo:hi, None], deg[None, :])
+    return _jaccard(_block_cn(train, lo, hi, spec), deg[lo:hi, None], deg[None, :])
 
 
-def _block_on_support(method):
+def _block_on_support(train, lo, hi, spec):
     """Block form that scores only the pairs with a common neighbour, the
-    nonzeros of A[lo:hi] @ A, with the method's pair kernel; every other
-    score of a common-neighbour sum is exactly 0.
+    nonzeros of A[lo:hi] @ A, with the pair kernel of spec.method; every
+    other score of a common-neighbour sum is exactly 0.
 
     A weighted product A[lo:hi] @ (A diag(w)) would sum in another order and
     move scores by a few ulp, so the pair kernel keeps the numbers.
     """
-    def block(train, lo, hi):
-        A = train.to_scipy_csr()
-        support = (A[lo:hi] @ A).tocoo()
-        rows = support.row.astype(np.int64)
-        cols = support.col.astype(np.int64)
-        out = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
-        out[rows, cols] = _KERNELS[method](
-            train, np.stack([rows + lo, cols], axis=1))
-        return out
-    return block
+    A = train.to_scipy_csr()
+    support = (A[lo:hi] @ A).tocoo()
+    rows = support.row.astype(np.int64)
+    cols = support.col.astype(np.int64)
+    out = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
+    pairs = np.stack([rows + lo, cols], axis=1)
+    out[rows, cols] = _FORMS[spec.method][0](train, pairs, spec)
+    return out
 
 
-def _block_lpi(train, lo, hi, epsilon):
+def _block_lpi(train, lo, hi, spec):
     A = train.to_scipy_csr()
     paths2 = A[lo:hi] @ A
-    return paths2.toarray() + epsilon * (paths2 @ A).toarray()
+    return paths2.toarray() + spec.epsilon * (paths2 @ A).toarray()
 
 
-def _block_shortest_path(train, lo, hi):
+def _block_shortest_path(train, lo, hi, spec):
     A = train.to_scipy_csr()
     dist = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
     for b_lo, b_hi in _chunks(hi - lo, _bfs_batch(A)):
@@ -347,10 +311,10 @@ def _block_shortest_path(train, lo, hi):
             bits = np.unpackbits(octets, axis=1, count=b_hi - b_lo,
                                  bitorder="little")
             dist[b_lo:b_hi][bits.T.view(bool)] = d
-    return _inverse_distance(dist)
+    return _reciprocal(dist)
 
 
-def _block_lrw(train, lo, hi, walk_steps):
+def _block_lrw(train, lo, hi, spec):
     n = train.num_nodes
     if train.num_edges == 0:
         return np.zeros((hi - lo, n), dtype=np.float64)
@@ -358,7 +322,7 @@ def _block_lrw(train, lo, hi, walk_steps):
     # fwd[:, r] is column lo + r of (P^T)^s; bwd[r] is its row lo + r
     fwd = np.empty((n, hi - lo), dtype=np.float64)
     bwd = np.empty((hi - lo, n), dtype=np.float64)
-    for c_lo, c_hi, cols in _walk_columns(PT, np.arange(n), walk_steps):
+    for c_lo, c_hi, cols in _walk_columns(PT, np.arange(n), spec.walk_steps):
         a, b = max(lo, c_lo), min(hi, c_hi)
         if a < b:
             fwd[:, a - lo:b - lo] = cols[:, a - c_lo:b - c_lo]
@@ -367,17 +331,18 @@ def _block_lrw(train, lo, hi, walk_steps):
     return q[lo:hi, None] * fwd.T + q[None, :] * bwd
 
 
-# one block form per method; each equals its pair kernel bit for bit
-_BLOCKS = {
-    "pa": _block_pa,
-    "cn": _block_cn,
-    "jaccard": _block_jaccard,
-    "adamic_adar": _block_on_support("adamic_adar"),
-    "resource_alloc": _block_on_support("resource_alloc"),
-    "lpi": _block_lpi,
-    "shortest_path": _block_shortest_path,
-    "lrw": _block_lrw,
+# method -> (pair kernel, block form), equal bit for bit
+_FORMS = {
+    "pa": (_score_pa, _block_pa),
+    "cn": (_score_cn, _block_cn),
+    "jaccard": (_score_jaccard, _block_jaccard),
+    "adamic_adar": (_score_adamic_adar, _block_on_support),
+    "resource_alloc": (_score_resource_alloc, _block_on_support),
+    "lpi": (_score_lpi, _block_lpi),
+    "shortest_path": (_score_shortest_path, _block_shortest_path),
+    "lrw": (_score_lrw, _block_lrw),
 }
+METHODS = tuple(_FORMS)
 
 
 def _check_finite(scores, method):
@@ -390,9 +355,8 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     """Scores of ``spec.method`` for an (m, 2) pair array on the train graph.
 
     The common-neighbour family (cn, jaccard, adamic_adar, resource_alloc)
-    and lpi build sparse rows for chunks of pairs cut by a fixed entry
-    budget, so their peak memory is O(budget + pairs), whichever hubs a
-    chunk draws.
+    and lpi build sparse rows for chunks of pairs, so their peak memory is
+    O(_CHUNK_BUDGET + pairs) entries, whichever hubs a chunk draws.
 
     Raises ValueError for a malformed pair array or ids outside the train
     graph, and ArithmeticError if the kernel yields a non-finite score.
@@ -400,8 +364,7 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     arr = _as_pair_array(pairs, train.num_nodes)
     if arr.size == 0:
         return np.zeros(0, dtype=np.float64)
-    return _check_finite(_KERNELS[spec.method](train, arr, **spec.params()),
-                         spec.method)
+    return _check_finite(_FORMS[spec.method][0](train, arr, spec), spec.method)
 
 
 def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
@@ -411,9 +374,10 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
     bit-identical to score_method on the block's row-major pair list,
     reshaped, but no pair list is built except for adamic_adar and
     resource_alloc, which score only their support (the nonzeros of
-    A[lo:hi] @ A). Peak memory is O((hi - lo) * n), plus O(n * batch) for
-    lrw's column walk, the support of A[lo:hi] @ A, and O((n + nnz) * S / 64)
-    words for shortest_path's BFS of S sources at a time.
+    A[lo:hi] @ A) in pair chunks of at most _CHUNK_BUDGET row entries. Peak
+    memory is O((hi - lo) * n), plus O(n * batch) for lrw's column walk, the
+    support of A[lo:hi] @ A, and for shortest_path a BFS level gather of at
+    most max(_CHUNK_BUDGET, nnz) words with level arrays n / nnz its size.
 
     Raises ValueError unless 0 <= lo <= hi <= n, and ArithmeticError if the
     block holds a non-finite score.
@@ -422,5 +386,4 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"source block [{lo}, {hi}) out of range for the "
                          f"train graph's {n} nodes")
-    return _check_finite(_BLOCKS[spec.method](train, lo, hi, **spec.params()),
-                         spec.method)
+    return _check_finite(_FORMS[spec.method][1](train, lo, hi, spec), spec.method)

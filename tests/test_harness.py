@@ -70,6 +70,27 @@ LFR = {"kind": "lfr", "n": 100, "tau1": 2.5, "tau2": 3.0, "mu": 0.1,
     ({"methods": [{"epsilon": 0.5}]}, "missing keys ['method']"),
     ({"samplers": ["uniform", "uniform"]}, "samplers must be distinct"),
     ({"tasks": ["recommendation", "recommendation"]}, "tasks must be distinct"),
+    # values of the wrong JSON type
+    ({"methods": [{"method": "lpi", "epsilon": "0.1"}]},
+     "epsilon must be a finite number > 0, got '0.1'"),
+    ({"methods": [{"method": "lpi", "epsilon": 1e400}]},
+     "epsilon must be a finite number > 0, got inf"),
+    ({"methods": [{"method": "lrw", "walk_steps": 2.5}]},
+     "walk_steps must be an integer >= 2, got 2.5"),
+    ({"methods": [{"method": "lrw", "walk_steps": True}]},
+     "walk_steps must be an integer >= 2, got True"),
+    ({"beta": "0.25"}, "beta must be a number in (0, 1), got '0.25'"),
+    ({"rbo_p": True}, "rbo_p must be a number in (0, 1), got True"),
+    ({"top_c": "5"}, "top_c must be an integer >= 1, got '5'"),
+    ({"repeats": 1.5}, "repeats must be an integer >= 1, got 1.5"),
+    ({"repeats": True}, "repeats must be an integer >= 1, got True"),
+    ({"methods": [5]}, "method entry must be an object, got 5"),
+    ({"graphs": [5]}, "graph entry must be an object, got 5"),
+    ({"graphs": [{"path": 5}]}, "path must be a string, got 5"),
+    ({"graphs": [{"generator": 5}]}, "generator must be an object, got 5"),
+    ({"methods": "pa"}, "methods must be a list, got 'pa'"),
+    ({"samplers": 5}, "samplers must be a list, got 5"),
+    ({"tasks": [["recommendation"]]}, "tasks must be distinct"),
 ])
 def test_bad_config_raises_value_error_naming_the_key(change, message):
     base = {"graphs": [{"generator": PRICE}, {"id": "l", "generator": LFR}],

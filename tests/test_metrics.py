@@ -140,8 +140,8 @@ def test_top_c_scores_without_pair_lists(monkeypatch, method):
 
     monkeypatch.setattr(metrics, "score_method",
                         counting(metrics.score_method))
-    for name, kernel in list(predictors._KERNELS.items()):
-        monkeypatch.setitem(predictors._KERNELS, name, counting(kernel))
+    for name, (kernel, block) in list(predictors._FORMS.items()):
+        monkeypatch.setitem(predictors._FORMS, name, (counting(kernel), block))
     assert len(top_c_recommend(g, MethodSpec(method), top_c=5)) == 600
     A = g.to_scipy_csr()
     if method in ("adamic_adar", "resource_alloc"):

@@ -159,6 +159,11 @@ def test_method_spec_validation():
         MethodSpec("lpi", epsilon=0.0)
     with pytest.raises(ValueError):
         MethodSpec("lrw", walk_steps=1)
+    for bad in ({"epsilon": float("nan")}, {"epsilon": np.inf},
+                {"epsilon": True}, {"walk_steps": 3.0}, {"walk_steps": "3"}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            MethodSpec("lpi", **bad)
+    assert MethodSpec("lrw", np.float64(0.5), np.int64(4)).walk_steps == 4
 
 
 def test_build_score_table_shape_and_finiteness():
@@ -169,17 +174,15 @@ def test_build_score_table_shape_and_finiteness():
     scores = score_method(g, pairs, spec)
     assert scores.shape == (3,)
     assert np.all(np.isfinite(scores))
-    assert spec.params() == {"walk_steps": 3}
 
 
 def test_non_finite_score_rejected(monkeypatch):
     g = build_graph([(0, 1), (1, 2)])
-    monkeypatch.setitem(predictors._KERNELS, "cn",
-                        lambda train, arr: np.full(arr.shape[0], np.nan))
+    monkeypatch.setitem(predictors._FORMS, "cn", (
+        lambda train, arr, spec: np.full(arr.shape[0], np.nan),
+        lambda train, lo, hi, spec: np.full((hi - lo, 3), np.inf)))
     with pytest.raises(ArithmeticError, match="cn"):
         score_method(g, [(0, 2)], MethodSpec("cn"))
-    monkeypatch.setitem(predictors._BLOCKS, "cn",
-                        lambda train, lo, hi: np.full((hi - lo, 3), np.inf))
     with pytest.raises(ArithmeticError, match="cn"):
         predictors.score_block(g, 0, 2, MethodSpec("cn"))
 
@@ -253,7 +256,7 @@ def dijkstra_distances(g, sources):
 def dijkstra_pair_scores(g, pairs):
     uniq = np.unique(pairs[:, 0])
     dist = dijkstra_distances(g, uniq)
-    return predictors._inverse_distance(
+    return predictors._reciprocal(
         dist[np.searchsorted(uniq, pairs[:, 0]), pairs[:, 1]])
 
 
@@ -290,14 +293,14 @@ def bfs_cases():
 def test_bfs_equals_dijkstra(tiny_batches, monkeypatch):
     if tiny_batches:
         # 64 sources per batch, so 65 and 129 sources cross batch borders
-        monkeypatch.setattr(predictors, "_BFS_BYTES", 1)
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1)
     spec = MethodSpec("shortest_path")
     for g, pair_sets, blocks in bfs_cases():
         for pairs in pair_sets:
             assert np.array_equal(score_method(g, pairs, spec),
                                   dijkstra_pair_scores(g, pairs)), g
         for lo, hi in blocks:
-            want = predictors._inverse_distance(
+            want = predictors._reciprocal(
                 dijkstra_distances(g, np.arange(lo, hi)))
             assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                                   want), (g, lo, hi)

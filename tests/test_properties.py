@@ -99,14 +99,21 @@ def test_sampler_and_top_c_match_reference_loops(g, count, seed, method,
                           pair_route.reshape(hi - lo, n))
 
 
+def dense_adjacency(g):
+    """g's adjacency matrix as a dense (n, n) int64 array."""
+    n = g.num_nodes
+    a = np.zeros((n, n), dtype=np.int64)
+    e = g.edge_array()
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
+    return a
+
+
 def dense_shortest_path_scores(g):
     """1 / d for every pair, with the hop distance d(i, j) read off powers
     of the dense adjacency matrix as the least k >= 1 with A^k[i, j] > 0;
     self-pairs and unreachable pairs score 0."""
     n = g.num_nodes
-    a = np.zeros((n, n), dtype=np.int64)
-    e = g.edge_array()
-    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
+    a = dense_adjacency(g)
     dist = np.zeros((n, n))
     walks = np.eye(n, dtype=np.int64)
     for k in range(1, n):
@@ -139,9 +146,7 @@ def test_lpi_and_cn_match_dense_walk_counts(g, epsilon, data):
     # paths2 = A @ A and paths3 = A @ A @ A count walks exactly, so
     # paths2 + epsilon * paths3 rounds once, as lpi's kernels do
     n = g.num_nodes
-    a = np.zeros((n, n), dtype=np.int64)
-    e = g.edge_array()
-    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
+    a = dense_adjacency(g)
     paths2 = (a @ a).astype(np.float64)
     paths3 = (a @ a @ a).astype(np.float64)
     cases = [(MethodSpec("cn"), paths2),
@@ -156,3 +161,43 @@ def test_lpi_and_cn_match_dense_walk_counts(g, epsilon, data):
                               want[pairs[:, 0], pairs[:, 1]]), spec
         assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                               want[lo:hi]), spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=small_graphs(), walk_steps=st.sampled_from((2, 3, 5)),
+       data=st.data())
+def test_remaining_scorers_match_dense_oracles(g, walk_steps, data):
+    # pa and jaccard are exact integer arithmetic plus one rounding, so they
+    # match exactly; the weighted sums and walk probabilities add in another
+    # order than the kernels, so they match to rtol 1e-12
+    n = g.num_nodes
+    a = dense_adjacency(g)
+    deg = a.sum(axis=1)
+    inter = (a[:, None, :] & a[None, :, :]).sum(axis=2)
+    union = (a[:, None, :] | a[None, :, :]).sum(axis=2)
+    jaccard = np.divide(inter, union, out=np.zeros((n, n)), where=union > 0)
+    with np.errstate(divide="ignore"):
+        aa_w = np.where(deg > 1, 1.0 / np.log(deg), 0.0)
+        ra_w = np.where(deg > 0, 1.0 / deg, 0.0)
+    # P = D^-1 A; lrw(i, j) = q_i P^t[i, j] + q_j P^t[j, i], q = deg / 2m
+    P = np.divide(a, deg[:, None], out=np.zeros((n, n)),
+                  where=deg[:, None] > 0)
+    walk = (deg / max(deg.sum(), 1))[:, None] * np.linalg.matrix_power(
+        P, walk_steps)
+    cases = [(MethodSpec("pa"), np.multiply.outer(deg, deg).astype(float), 0),
+             (MethodSpec("jaccard"), jaccard, 0),
+             (MethodSpec("adamic_adar"), (a * aa_w) @ a, 1e-12),
+             (MethodSpec("resource_alloc"), (a * ra_w) @ a, 1e-12),
+             (MethodSpec("lrw", walk_steps=walk_steps), walk + walk.T, 1e-12)]
+    node = st.integers(0, n - 1)
+    pairs = np.array(data.draw(st.lists(st.tuples(node, node), min_size=1,
+                                        max_size=60)))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    for spec, want, rtol in cases:
+        np.testing.assert_allclose(score_method(g, pairs, spec),
+                                   want[pairs[:, 0], pairs[:, 1]],
+                                   rtol=rtol, atol=0, err_msg=repr(spec))
+        np.testing.assert_allclose(predictors.score_block(g, lo, hi, spec),
+                                   want[lo:hi], rtol=rtol, atol=0,
+                                   err_msg=repr(spec))
