@@ -51,10 +51,12 @@ def _check_keys(where: str, entry, required, optional=()) -> None:
         raise ValueError(f"{where}: unknown keys {unknown}")
 
 
-# generator kind -> required recipe keys besides "kind"; "seed" is optional
+# generator kind -> {required recipe key: number kind} besides "kind";
+# "seed", an integer, is optional
 _RECIPE_KEYS = {
-    "price": ("n", "m_per_node"),
-    "lfr": tuple(f.name for f in dataclasses.fields(LfrParams)),
+    "price": {"n": numbers.Integral, "m_per_node": numbers.Integral},
+    "lfr": {f.name: numbers.Integral if f.type == "int" else numbers.Real
+            for f in dataclasses.fields(LfrParams)},
 }
 
 
@@ -75,9 +77,16 @@ class GraphSource:
             if kind not in _RECIPE_KEYS:
                 raise ValueError(
                     f"graph {self.graph_id!r}: unknown generator kind {kind!r}")
-            _check_keys(f"graph {self.graph_id!r}: {kind} generator",
-                        self.generator, ("kind",) + _RECIPE_KEYS[kind],
-                        ("seed",))
+            where = f"graph {self.graph_id!r}: {kind} generator"
+            _check_keys(where, self.generator,
+                        ("kind",) + tuple(_RECIPE_KEYS[kind]), ("seed",))
+            for key, value in self.generator.items():
+                num = _RECIPE_KEYS[kind].get(key, numbers.Integral)  # seed
+                if key != "kind" and not _is_number(value, num):
+                    noun = ("an integer" if num is numbers.Integral
+                            else "a finite number")
+                    raise ValueError(f"{where}: {key} must be {noun}, "
+                                     f"got {value!r}")
 
     def load(self) -> Graph:
         if self.path is not None:
@@ -122,6 +131,9 @@ class BenchmarkConfig:
             raise ValueError(f"top_c must be an integer >= 1, got {self.top_c!r}")
         if not _is_number(self.rbo_p) or not 0 < self.rbo_p < 1:
             raise ValueError(f"rbo_p must be a number in (0, 1), got {self.rbo_p!r}")
+        if not _is_number(self.master_seed, numbers.Integral):
+            raise ValueError(
+                f"master_seed must be an integer, got {self.master_seed!r}")
         ids = [g.graph_id for g in self.graphs]
         if len(set(ids)) != len(ids):
             raise ValueError("graph ids must be unique")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.stats import rankdata
 
@@ -46,9 +48,10 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     negated scores, and one stable argsort per block orders the rest.
 
     Peak memory is O(block * n) for the scores and their argsort, plus
-    O(n * batch) for lrw's column walk and the support of A[blk] @ A for
-    adamic_adar and resource_alloc. The top-C columns are copied out, so
-    the result holds O(n * top_c) ids.
+    O(n * b) floats for lrw's walk of b = max(16, min(256, 2e7 // n))
+    columns at a time, and the support of A[blk] @ A for adamic_adar and
+    resource_alloc. The top-C columns are copied out, so the result holds
+    O(n * top_c) ids.
     """
     if top_c < 1:
         raise ValueError("top_c must be >= 1")
@@ -120,7 +123,9 @@ def rbo(ranking_a, ranking_b, p: float) -> float:
 
     Both rankings must order the same item set with no duplicates. Agreement
     at depth d is the prefix-overlap fraction; depths are weighted by
-    p^(d-1), and the agreement at full depth extrapolates the tail.
+    p^(d-1), and the agreement at full depth extrapolates the tail. Equal
+    rankings score exactly 1 and unequal ones below 1, also where the
+    float sum would round to 1 or past it.
     """
     if not 0 < p < 1:
         raise ValueError("p must be in (0, 1)")
@@ -132,6 +137,8 @@ def rbo(ranking_a, ranking_b, p: float) -> float:
         raise ValueError("rankings must not contain duplicates")
     if set(a) != set(b) or len(a) != len(b):
         raise ValueError("rankings must order the same item set")
+    if a == b:
+        return 1.0
     depth = len(a)
     seen_a: set = set()
     seen_b: set = set()
@@ -148,4 +155,5 @@ def rbo(ranking_a, ranking_b, p: float) -> float:
         seen_b.add(y)
         agreement = overlap / d
         total += p ** (d - 1) * agreement
-    return float((1 - p) * total + p ** depth * agreement)
+    return min(float((1 - p) * total + p ** depth * agreement),
+               math.nextafter(1.0, 0.0))

@@ -5,7 +5,8 @@ scores an (m, 2) pair array in float64; those are the numbers of record.
 Its block form (train, lo, hi, spec) scores sources lo..hi-1 against every
 node, bit-identical to the pair kernel. Only lpi reads spec.epsilon and only
 lrw spec.walk_steps. Scoring is pure and every score is finite; memory is
-bounded by one budget, _CHUNK_BUDGET, whichever hubs a chunk draws.
+bounded by one budget, _CHUNK_BUDGET, whichever hubs a chunk draws, and
+for lrw's walk by its column batch.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .graph import _as_pair_array
 # 2**20 to 2**22 ran equally fast on a 500k-edge graph, but lp-large's two
 # lpi cells took 2.67 -> 2.88 s at 2**20.
 _CHUNK_BUDGET = 1 << 21
+
+# lrw walks a column batch as sparse columns until this share of its n * b
+# entries is stored, then as dense columns
+_DENSE_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -226,24 +231,47 @@ def _lrw_operators(train):
     return q, _column_weighted(train.to_scipy_csr(), _reciprocal(deg))
 
 
-def _walk_columns(PT, nodes, walk_steps):
+def _walk_columns(PT, nodes, steps):
     """Yield (lo, hi, cols) where cols[:, k] is column nodes[lo + k] of
-    (P^T)^walk_steps, walked in batches of columns.
+    (P^T)^steps, walked in batches of b = max(16, min(256, 2e7 // n))
+    columns and yielded as a dense (n, b) array.
 
-    A column of a CSR @ dense product does not depend on the batch it is
-    walked in. Memory is O(n * batch) as long as the caller drops cols
-    before it asks for the next batch.
+    A batch starts as a sparse selection and takes each step as a CSR @
+    CSR product until its stored entries pass n * b * _DENSE_SHARE; the
+    remaining steps are CSR @ dense products. Both products sum each entry
+    over P^T's row in stored order from 0, and the sparse one only skips
+    terms that are exactly 0, so the bits depend neither on where the
+    batch turns dense nor on the batch it is walked in. Peak memory is
+    O(n * b) floats, at most 256 * n and at most 2e7 until n passes
+    1.25e6, as long as the caller drops cols before it asks for the next.
     """
     n = PT.shape[0]
-    # 2e7 / n floats in 16..256 columns, not _CHUNK_BUDGET / n: at the
-    # latter's 419 columns an lp-price lrw cell took 0.44 -> 0.51 s
+    # 2e7 / n floats in 16..256 columns, not max(16, _CHUNK_BUDGET // n):
+    # the rec-lfr train graph's four lrw blocks (n = 2,000) took 0.18 ->
+    # 0.24 s at the latter's 1,048 columns, and lp-price cells (n = 5,000,
+    # 419 columns) 0.10 -> 0.10-0.12 s, best of 5
     batch = max(16, min(256, int(2e7 // max(n, 1))))
     for lo, hi in _chunks(nodes.size, batch):
-        cols = np.zeros((n, hi - lo), dtype=np.float64)
-        cols[nodes[lo:hi], np.arange(hi - lo)] = 1.0
-        for _ in range(walk_steps):
+        b = hi - lo
+        cols = sparse.csr_matrix((np.ones(b), (nodes[lo:hi], np.arange(b))),
+                                 shape=(n, b))
+        for _ in range(steps):
+            if sparse.issparse(cols) and cols.nnz > n * b * _DENSE_SHARE:
+                cols = cols.toarray()
             cols = PT @ cols
-        yield lo, hi, cols
+        yield lo, hi, cols.toarray() if sparse.issparse(cols) else cols
+
+
+def _last_step(PT, W, rows, cols):
+    """(P^T @ W)[rows[k], cols[k]] per k, summed over P^T's row in stored
+    order as the dense product sums it; O(_CHUNK_BUDGET + k) entries."""
+    out = np.empty(rows.size, dtype=np.float64)
+    ones = np.ones(PT.shape[1])
+    for lo, hi in _budget_chunks(np.diff(PT.indptr)[rows]):
+        R = PT[rows[lo:hi]]
+        R.data *= W[R.indices, np.repeat(cols[lo:hi], np.diff(R.indptr))]
+        out[lo:hi] = R @ ones
+    return out
 
 
 def _score_lrw(train, arr, spec):
@@ -252,15 +280,17 @@ def _score_lrw(train, arr, spec):
     q, PT = _lrw_operators(train)
     uniq, col_of = np.unique(arr, return_inverse=True)
     col_of = col_of.reshape(arr.shape)
-    pi_fwd = np.zeros(arr.shape[0], dtype=np.float64)
-    pi_bwd = np.zeros(arr.shape[0], dtype=np.float64)
-    for lo, hi, cols in _walk_columns(PT, uniq, spec.walk_steps):
-        sel = (col_of[:, 0] >= lo) & (col_of[:, 0] < hi)
-        pi_fwd[sel] = cols[arr[sel, 1], col_of[sel, 0] - lo]
-        sel = (col_of[:, 1] >= lo) & (col_of[:, 1] < hi)
-        pi_bwd[sel] = cols[arr[sel, 0], col_of[sel, 1] - lo]
-        del cols  # one batch alive while the next is walked
-    return q[arr[:, 0]] * pi_fwd + q[arr[:, 1]] * pi_bwd
+    # entry k < m is pi(arr[k, 0] -> arr[k, 1]), entry m + k the reverse:
+    # row `row` of (P^T)^s in the walked column `col`
+    m = arr.shape[0]
+    row = np.concatenate([arr[:, 1], arr[:, 0]])
+    col = np.concatenate([col_of[:, 0], col_of[:, 1]])
+    pi = np.empty(2 * m, dtype=np.float64)
+    for lo, hi, W in _walk_columns(PT, uniq, spec.walk_steps - 1):
+        sel = np.flatnonzero((col >= lo) & (col < hi))
+        pi[sel] = _last_step(PT, W, row[sel], col[sel] - lo)
+        del W  # one batch alive while the next is walked
+    return q[arr[:, 0]] * pi[:m] + q[arr[:, 1]] * pi[m:]
 
 
 def _block_pa(train, lo, hi, spec):
@@ -319,16 +349,22 @@ def _block_lrw(train, lo, hi, spec):
     if train.num_edges == 0:
         return np.zeros((hi - lo, n), dtype=np.float64)
     q, PT = _lrw_operators(train)
-    # fwd[:, r] is column lo + r of (P^T)^s; bwd[r] is its row lo + r
+    # with W = (P^T)^(s-1): fwd[:, r] is column lo + r of P^T @ W and
+    # bwd[r] its row lo + r
     fwd = np.empty((n, hi - lo), dtype=np.float64)
     bwd = np.empty((hi - lo, n), dtype=np.float64)
-    for c_lo, c_hi, cols in _walk_columns(PT, np.arange(n), spec.walk_steps):
+    rows = PT[lo:hi]
+    for c_lo, c_hi, W in _walk_columns(PT, np.arange(n), spec.walk_steps - 1):
         a, b = max(lo, c_lo), min(hi, c_hi)
         if a < b:
-            fwd[:, a - lo:b - lo] = cols[:, a - c_lo:b - c_lo]
-        bwd[:, c_lo:c_hi] = cols[lo:hi]
-        del cols  # one batch alive while the next is walked
-    return q[lo:hi, None] * fwd.T + q[None, :] * bwd
+            fwd[:, a - lo:b - lo] = PT @ W[:, a - c_lo:b - c_lo]
+        bwd[:, c_lo:c_hi] = rows @ W
+        del W  # one batch alive while the next is walked
+    # q_i fwd + q_j bwd in either order of the (commutative) float sum; a
+    # contiguous copy of fwd.T halves the time of its strided read
+    bwd *= q[None, :]
+    bwd += q[lo:hi, None] * np.ascontiguousarray(fwd.T)
+    return bwd
 
 
 # method -> (pair kernel, block form), equal bit for bit
@@ -356,7 +392,9 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
 
     The common-neighbour family (cn, jaccard, adamic_adar, resource_alloc)
     and lpi build sparse rows for chunks of pairs, so their peak memory is
-    O(_CHUNK_BUDGET + pairs) entries, whichever hubs a chunk draws.
+    O(_CHUNK_BUDGET + pairs) entries, whichever hubs a chunk draws. lrw
+    adds O(n * b) floats for its walk of b = max(16, min(256, 2e7 // n))
+    columns at a time.
 
     Raises ValueError for a malformed pair array or ids outside the train
     graph, and ArithmeticError if the kernel yields a non-finite score.
@@ -375,9 +413,10 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
     reshaped, but no pair list is built except for adamic_adar and
     resource_alloc, which score only their support (the nonzeros of
     A[lo:hi] @ A) in pair chunks of at most _CHUNK_BUDGET row entries. Peak
-    memory is O((hi - lo) * n), plus O(n * batch) for lrw's column walk, the
-    support of A[lo:hi] @ A, and for shortest_path a BFS level gather of at
-    most max(_CHUNK_BUDGET, nnz) words with level arrays n / nnz its size.
+    memory is O((hi - lo) * n), plus O(n * b) floats for lrw's walk of
+    b = max(16, min(256, 2e7 // n)) columns at a time, the support of
+    A[lo:hi] @ A, and for shortest_path a BFS level gather of at most
+    max(_CHUNK_BUDGET, nnz) words with level arrays n / nnz its size.
 
     Raises ValueError unless 0 <= lo <= hi <= n, and ArithmeticError if the
     block holds a non-finite score.

@@ -224,6 +224,21 @@ def test_evaluate_bad_config_exits_two(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_evaluate_bad_recipe_value_exits_two(tmp_path, capsys):
+    # a text node count used to run as a 50-node graph
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps({
+        "graphs": [{"id": "p", "generator": {"kind": "price", "n": "50",
+                                             "m_per_node": 2}}],
+        "methods": ["pa"]}))
+    assert main(["evaluate", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "rows.csv"),
+                 "--summary", str(tmp_path / "summary.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n must be an integer" in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_main_parses_each_call_afresh_with_one_parser(tmp_path, capsys):
     # main builds its parser once per process; a second subcommand, and a
     # default that an earlier call overrode, must still parse as if new

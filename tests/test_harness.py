@@ -91,6 +91,20 @@ LFR = {"kind": "lfr", "n": 100, "tau1": 2.5, "tau2": 3.0, "mu": 0.1,
     ({"methods": "pa"}, "methods must be a list, got 'pa'"),
     ({"samplers": 5}, "samplers must be a list, got 5"),
     ({"tasks": [["recommendation"]]}, "tasks must be distinct"),
+    ({"graphs": [{"generator": dict(PRICE, n="30")}]},
+     "price generator: n must be an integer, got '30'"),
+    ({"graphs": [{"generator": dict(PRICE, n=30.5)}]},
+     "price generator: n must be an integer, got 30.5"),
+    ({"graphs": [{"generator": dict(PRICE, m_per_node=True)}]},
+     "price generator: m_per_node must be an integer, got True"),
+    ({"graphs": [{"generator": dict(PRICE, seed=1.5)}]},
+     "price generator: seed must be an integer, got 1.5"),
+    ({"graphs": [{"generator": dict(LFR, mu="0.1")}]},
+     "lfr generator: mu must be a finite number, got '0.1'"),
+    ({"graphs": [{"generator": dict(LFR, max_comm=50.0)}]},
+     "lfr generator: max_comm must be an integer, got 50.0"),
+    ({"master_seed": "abc"}, "master_seed must be an integer, got 'abc'"),
+    ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
 ])
 def test_bad_config_raises_value_error_naming_the_key(change, message):
     base = {"graphs": [{"generator": PRICE}, {"id": "l", "generator": LFR}],

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import csgraph
 
+from conftest import dense_adjacency
 from linkbench import (METHODS, MethodSpec, build_graph, generate_price,
                        make_split, predictors, score_method)
 
@@ -13,13 +15,6 @@ def random_graph(n, p, seed):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return build_graph(pairs, num_nodes=n)
-
-
-def dense_adjacency(g):
-    a = np.zeros((g.num_nodes, g.num_nodes))
-    for i, j in g.edge_array():
-        a[i, j] = a[j, i] = 1.0
-    return a
 
 
 def bfs_distance(g, src):
@@ -63,7 +58,7 @@ def brute_score(g, i, j, method, epsilon=0.01, walk_steps=3):
     if method == "lrw":
         a = dense_adjacency(g)
         deg = a.sum(axis=1)
-        p = np.divide(a, deg[:, None], out=np.zeros_like(a), where=deg[:, None] > 0)
+        p = np.divide(a, deg[:, None], out=np.zeros(a.shape), where=deg[:, None] > 0)
         pt = np.linalg.matrix_power(p, walk_steps)
         q = deg / deg.sum()
         return float(q[i] * pt[i, j] + q[j] * pt[j, i])
@@ -388,3 +383,124 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
     for epsilon in (0.01, 0.5):
         got = score_method(train, pairs, MethodSpec("lpi", epsilon=epsilon))
         assert np.array_equal(got, want[epsilon]), epsilon
+
+
+def reference_walk_columns(PT, nodes, walk_steps):
+    """_walk_columns before sparse steps: dense (n, batch) columns from the
+    first step on."""
+    n = PT.shape[0]
+    batch = max(16, min(256, int(2e7 // max(n, 1))))
+    for lo in range(0, nodes.size, batch):
+        hi = min(lo + batch, nodes.size)
+        cols = np.zeros((n, hi - lo), dtype=np.float64)
+        cols[nodes[lo:hi], np.arange(hi - lo)] = 1.0
+        for _ in range(walk_steps):
+            cols = PT @ cols
+        yield lo, hi, cols
+
+
+def reference_score_lrw(train, arr, spec):
+    """_score_lrw before sparse steps: all s steps on dense columns, then
+    each pair's entry read off its endpoint's column."""
+    if train.num_edges == 0:
+        return np.zeros(arr.shape[0], dtype=np.float64)
+    q, PT = predictors._lrw_operators(train)
+    uniq, col_of = np.unique(arr, return_inverse=True)
+    col_of = col_of.reshape(arr.shape)
+    pi_fwd = np.zeros(arr.shape[0], dtype=np.float64)
+    pi_bwd = np.zeros(arr.shape[0], dtype=np.float64)
+    for lo, hi, cols in reference_walk_columns(PT, uniq, spec.walk_steps):
+        sel = (col_of[:, 0] >= lo) & (col_of[:, 0] < hi)
+        pi_fwd[sel] = cols[arr[sel, 1], col_of[sel, 0] - lo]
+        sel = (col_of[:, 1] >= lo) & (col_of[:, 1] < hi)
+        pi_bwd[sel] = cols[arr[sel, 0], col_of[sel, 1] - lo]
+    return q[arr[:, 0]] * pi_fwd + q[arr[:, 1]] * pi_bwd
+
+
+def reference_block_lrw(train, lo, hi, spec):
+    """_block_lrw before sparse steps: the block's rows and columns of
+    (P^T)^s, read off all n dense columns."""
+    n = train.num_nodes
+    if train.num_edges == 0:
+        return np.zeros((hi - lo, n), dtype=np.float64)
+    q, PT = predictors._lrw_operators(train)
+    fwd = np.empty((n, hi - lo), dtype=np.float64)
+    bwd = np.empty((hi - lo, n), dtype=np.float64)
+    for c_lo, c_hi, cols in reference_walk_columns(PT, np.arange(n),
+                                                   spec.walk_steps):
+        a, b = max(lo, c_lo), min(hi, c_hi)
+        if a < b:
+            fwd[:, a - lo:b - lo] = cols[:, a - c_lo:b - c_lo]
+        bwd[:, c_lo:c_hi] = cols[lo:hi]
+    return q[lo:hi, None] * fwd.T + q[None, :] * bwd
+
+
+class MatmulLog:
+    """Stands in for P^T in _walk_columns and logs, per product, whether
+    the columns it took were still sparse."""
+
+    def __init__(self, PT):
+        self.PT, self.shape, self.took_sparse = PT, PT.shape, []
+
+    def __matmul__(self, cols):
+        self.took_sparse.append(sparse.issparse(cols))
+        return self.PT @ cols
+
+
+def test_walk_columns_equal_dense_oracle():
+    train, pairs = hub_pairs()
+    sparse_1100 = block_cases()[0][0]
+    # 2,975 hub-graph endpoints and 1,100 nodes cross the 256-column batch
+    # borders; the last batch of sparse_1100 holds only isolated nodes
+    cases = [(train, np.unique(pairs)), (sparse_1100, np.arange(1100))]
+    sparse_steps = []
+    for steps in range(1, 7):
+        for g, nodes in cases:
+            _, PT = predictors._lrw_operators(g)
+            log = MatmulLog(PT)
+            got = list(predictors._walk_columns(log, nodes, steps))
+            want = list(reference_walk_columns(PT, nodes, steps))
+            assert [b[:2] for b in got] == [b[:2] for b in want]
+            for (lo, hi, a), (_, _, b) in zip(got, want):
+                assert isinstance(a, np.ndarray) and np.array_equal(a, b), (
+                    g, steps, lo)
+            sparse_steps.append(np.reshape(log.took_sparse, (len(got), steps))
+                                .sum(axis=1) < steps)
+    # the switch to dense columns fired in some batches and not in others
+    fired = np.concatenate(sparse_steps)
+    assert fired.any() and not fired.all()
+
+
+def lrw_pair_cases():
+    """(train, pairs) inputs of the lrw oracle test: the hub-heavy Price
+    pairs, random pairs on sparse_1100 (isolated ids among them) and pairs
+    of an edgeless graph."""
+    rng = np.random.default_rng(7)
+    sparse_1100 = block_cases()[0][0]
+    edgeless = build_graph([], num_nodes=3)
+    return [hub_pairs(),
+            (sparse_1100, rng.integers(0, 1100, size=(3000, 2))),
+            (edgeless, np.array([(0, 1), (2, 2), (1, 0)]))]
+
+
+@pytest.mark.parametrize("walk_steps", [2, 3, 4, 5, 6])
+def test_lrw_equals_dense_oracles(walk_steps, monkeypatch):
+    spec = MethodSpec("lrw", walk_steps=walk_steps)
+    pair_cases = lrw_pair_cases()
+    hub_train = pair_cases[0][0]
+    # (0, 300) crosses the hub graph's first 256-column batch border
+    block_sets = block_cases() + [(hub_train, [(0, 300)])]
+    want_pairs = [reference_score_lrw(g, pairs, spec) for g, pairs in pair_cases]
+    want_blocks = [[reference_block_lrw(g, lo, hi, spec) for lo, hi in blocks]
+                   for g, blocks in block_sets]
+    # the shipped share; 0 turns every batch dense before its first step,
+    # as the oracle walks, and 1 keeps every batch sparse to the end
+    for share in (predictors._DENSE_SHARE, 0.0, 1.0):
+        monkeypatch.setattr(predictors, "_DENSE_SHARE", share)
+        for (g, pairs), want in zip(pair_cases, want_pairs):
+            got = score_method(g, pairs, spec)
+            assert np.array_equal(got, want), (g, share)
+        for (g, blocks), wants in zip(block_sets, want_blocks):
+            for (lo, hi), want in zip(blocks, wants):
+                got = predictors.score_block(g, lo, hi, spec)
+                assert np.array_equal(got, want), (g, lo, hi, share)

@@ -7,9 +7,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from linkbench import (METHODS, MethodSpec, SaturationError,  # noqa: E402
-                       build_graph, predictors,
+                       build_graph, predictors, rbo,
                        sample_negative_degree_corrected,
                        sample_negative_uniform, score_method, top_c_recommend)
+from conftest import dense_adjacency  # noqa: E402
 from test_graph import assert_matches_reference  # noqa: E402
 from test_metrics import oracle_top_c  # noqa: E402
 from test_predictors import block_pairs  # noqa: E402
@@ -97,15 +98,6 @@ def test_sampler_and_top_c_match_reference_loops(g, count, seed, method,
     pair_route = score_method(g, block_pairs(lo, hi, n), spec)
     assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                           pair_route.reshape(hi - lo, n))
-
-
-def dense_adjacency(g):
-    """g's adjacency matrix as a dense (n, n) int64 array."""
-    n = g.num_nodes
-    a = np.zeros((n, n), dtype=np.int64)
-    e = g.edge_array()
-    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
-    return a
 
 
 def dense_shortest_path_scores(g):
@@ -201,3 +193,25 @@ def test_remaining_scorers_match_dense_oracles(g, walk_steps, data):
         np.testing.assert_allclose(predictors.score_block(g, lo, hi, spec),
                                    want[lo:hi], rtol=rtol, atol=0,
                                    err_msg=repr(spec))
+
+
+@st.composite
+def ranking_pairs(draw):
+    """Two rankings of one item set: equal, or the second a permutation."""
+    a = draw(st.lists(st.integers(0, 99), min_size=1, max_size=30,
+                      unique=True))
+    return a, draw(st.one_of(st.just(list(a)), st.permutations(a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=ranking_pairs(),
+       p=st.floats(0, 1, exclude_min=True, exclude_max=True))
+# the float sum read 1.0000000000000002 on equal rankings, and exactly 1
+# on rankings that differ only in their last two places
+@example(pair=([0, 1], [0, 1]), p=0.08)
+@example(pair=(list(range(20)), list(range(18)) + [19, 18]), p=0.1)
+def test_rbo_in_unit_interval_and_one_only_on_equal_rankings(pair, p):
+    a, b = pair
+    value = rbo(a, b, p)
+    assert 0 <= value <= 1
+    assert (value == 1) == (a == b)
