@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import sys
 import typing
@@ -20,9 +19,9 @@ import numpy as np
 from .generators import GenerationError, LfrParams, generate_lfr, generate_price
 from .graph import _as_pair_array, build_graph, read_edge_list, \
     write_edge_list
-from .harness import BenchmarkConfig, run_evaluation, write_rows_csv, \
-    write_summary_json
-from .metrics import rbo, top_c_recommend, vcmpr_at_c, vcmpr_per_node
+from .harness import SAMPLERS, BenchmarkConfig, run_evaluation, write_csv, \
+    write_rows_csv, write_summary_json
+from .metrics import rbo, top_c_recommend, vcmpr_per_node
 from .nullmodel import expected_pa_auc, fit_lognormal_degrees, size_biased_law
 from .predictors import METHODS, MethodSpec, score_method
 from .sampling import SaturationError, make_split
@@ -42,17 +41,16 @@ def _add_method_flags(parser) -> None:
 
 def cmd_generate(args) -> int:
     if args.kind == "price":
-        g = generate_price(args.n, args.m, args.seed)
-        write_edge_list(g.edge_array(), args.out)
+        g, labels = generate_price(args.n, args.m, args.seed), None
     else:
         params = LfrParams(**{f.name: getattr(args, f.name)
                               for f in dataclasses.fields(LfrParams)})
         g, labels = generate_lfr(params, args.seed)
-        write_edge_list(g.edge_array(), args.out)
-        if args.labels_out:
-            with open(args.labels_out, "w", encoding="utf-8") as fh:
-                for node, label in enumerate(labels):
-                    fh.write(f"{node} {label}\n")
+    write_edge_list(g.edge_array(), args.out)
+    if labels is not None and args.labels_out:
+        with open(args.labels_out, "w", encoding="utf-8") as fh:
+            for node, label in enumerate(labels):
+                fh.write(f"{node} {label}\n")
     print(f"wrote {args.out}: {g.num_nodes} nodes, {g.num_edges} edges")
     return 0
 
@@ -73,9 +71,7 @@ def cmd_split(args) -> int:
         "num_positives": int(split.positives.shape[0]),
         "num_negatives": int(split.negatives.shape[0]),
     }
-    with open(args.out_prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_summary_json(sidecar, args.out_prefix + ".json")
     print(f"wrote {args.out_prefix}.train/.pos/.neg/.json")
     return 0
 
@@ -85,11 +81,8 @@ def cmd_score(args) -> int:
     pairs = read_edge_list(args.pairs)
     spec = MethodSpec(args.method, args.epsilon, args.walk_steps)
     scores = score_method(train, pairs, spec)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "score"])
-        for (i, j), s in zip(pairs, scores):
-            writer.writerow([i, j, repr(float(s))])
+    write_csv(args.out, ["i", "j", "score"],
+              zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), scores.tolist()))
     print(f"wrote {args.out}: {scores.size} scores ({spec.method})")
     return 0
 
@@ -115,14 +108,10 @@ def cmd_recommend(args) -> int:
     spec = MethodSpec(args.method, args.epsilon, args.walk_steps)
     recs = top_c_recommend(train, spec, args.top_c)
     rows = vcmpr_per_node(recs, positives, args.top_c)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "hits", "num_partners", "precision", "recall",
-                         "vcmpr"])
-        for node, hits, mates, precision, recall, vcmpr in rows:
-            writer.writerow([node, hits, mates, repr(precision),
-                             repr(recall), repr(vcmpr)])
-    print(f"vcmpr_mean={vcmpr_at_c(recs, positives, args.top_c)!r}")
+    write_csv(args.out, ["node", "hits", "num_partners", "precision", "recall",
+                         "vcmpr"], rows)
+    # vcmpr_at_c's mean, taken from the rows in hand
+    print(f"vcmpr_mean={float(np.mean([row[-1] for row in rows]))!r}")
     return 0
 
 
@@ -194,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     split = sub.add_parser("split", help="hold out positives, sample negatives")
     split.add_argument("--graph", required=True)
-    split.add_argument("--beta", type=float, default=0.25)
-    split.add_argument("--negative", choices=["uniform", "degree-corrected"],
-                       default="uniform")
+    split.add_argument("--beta", type=float, default=BenchmarkConfig.beta)
+    split.add_argument("--negative", choices=SAMPLERS, default=SAMPLERS[0])
     split.add_argument("--seed", type=int, default=0)
     split.add_argument("--out-prefix", required=True)
     split.set_defaults(func=cmd_split)
@@ -214,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--pos", required=True,
                      help="held-out positive edges (edge-list file)")
     _add_method_flags(rec)
-    rec.add_argument("--top-c", type=int, default=50)
+    rec.add_argument("--top-c", type=int, default=BenchmarkConfig.top_c)
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_recommend)
 
@@ -222,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="RBO between two ranking CSV files")
     cmp_.add_argument("--a", required=True)
     cmp_.add_argument("--b", required=True)
-    cmp_.add_argument("--rbo-p", type=float, default=0.5)
+    cmp_.add_argument("--rbo-p", type=float, default=BenchmarkConfig.rbo_p)
     cmp_.set_defaults(func=cmd_rank_compare)
 
     theory = sub.add_parser("theory",
@@ -241,15 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's result, built once per process; parsing only reads
-    it. The subcommand handlers are bound when it is built."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, GenerationError, SaturationError, OSError) as exc:

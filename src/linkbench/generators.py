@@ -192,6 +192,14 @@ def _match_stubs(stubs: np.ndarray, rng, labels=None, max_sweeps: int = 100):
     return out, int(remaining.size)
 
 
+def _warn_stub_loss(leftover: int, total: int) -> None:
+    """Warn, at the generator's caller, when 1% or more of the stubs are lost."""
+    if total and leftover / total >= 0.01:
+        warnings.warn(f"discarded {leftover} of {total} stubs "
+                      f"({leftover / total:.1%}); realized degrees run low",
+                      stacklevel=3)
+
+
 def degree_sequence_graph(degrees, seed) -> Graph:
     """Configuration-model graph for a target degree sequence.
 
@@ -206,9 +214,7 @@ def degree_sequence_graph(degrees, seed) -> Graph:
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(deg.size, dtype=np.int64), deg)
     edges, leftover = _match_stubs(stubs, rng)
-    if stubs.size and leftover / stubs.size >= 0.01:
-        warnings.warn(f"discarded {leftover} of {stubs.size} stubs "
-                      f"({leftover / stubs.size:.1%})", stacklevel=2)
+    _warn_stub_loss(leftover, stubs.size)
     return build_graph(edges, num_nodes=deg.size)
 
 
@@ -351,11 +357,7 @@ def generate_lfr(params: LfrParams, seed) -> tuple[Graph, np.ndarray]:
     if got.size:
         edge_parts.append(got)
 
-    if total_stubs and leftover / total_stubs >= 0.01:
-        warnings.warn(
-            f"discarded {leftover} of {total_stubs} stubs "
-            f"({leftover / total_stubs:.1%}); realized degrees run low",
-            stacklevel=2)
+    _warn_stub_loss(leftover, total_stubs)
 
     edges = (np.concatenate(edge_parts)
              if edge_parts else np.zeros((0, 2), dtype=np.int64))

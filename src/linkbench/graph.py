@@ -16,18 +16,31 @@ class EdgeListParseError(ValueError):
     """Raised when an edge-list file cannot be parsed. Mentions the line number."""
 
 
-# Largest node count n whose pair keys lo * n + hi fit in uint64.
+# Largest node count n whose pair keys lo * n + hi fit in uint64, and the
+# ids an int64 array can hold.
 _MAX_NODES = 2**32
+_INT64_IDS = range(-2**63, 2**63)
 
 
 def _as_pair_array(pairs, num_nodes: int | None = None) -> np.ndarray:
-    """pairs as an (m, 2) int64 array. With num_nodes, an id outside
-    [0, num_nodes) raises ValueError naming it."""
-    arr = np.asarray(pairs, dtype=np.int64)
+    """pairs as an (m, 2) int64 array (an int64 one as it is). A bool, a
+    fractional or non-finite number, an id beyond int64 and, with
+    num_nodes, an id outside [0, num_nodes) raise ValueError naming it."""
+    arr = pairs if isinstance(pairs, np.ndarray) else np.array(pairs, object)
     if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    elif arr.ndim != 2 or arr.shape[1] != 2:
+        return np.zeros((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (m, 2) pair array, got shape {arr.shape}")
+    if arr.dtype != np.int64:
+        if arr.dtype.kind not in "iu" or int(arr.max()) not in _INT64_IDS:
+            for v in arr.ravel().tolist():
+                if isinstance(v, (float, np.floating)) and np.isfinite(v):
+                    v = int(v) if v == int(v) else v  # a whole float counts
+                if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                        or int(v) not in _INT64_IDS):
+                    raise ValueError(f"node id {v!r} is not an integer in "
+                                     f"int64 range")
+        arr = arr.astype(np.int64)
     if num_nodes is not None:
         bad = arr[(arr < 0) | (arr >= num_nodes)]
         if bad.size:
@@ -114,12 +127,6 @@ class Graph:
         """Degree of every node, as an int64 array of length num_nodes."""
         return np.diff(self._indptr)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor ids of node i (read-only view)."""
-        if not 0 <= i < self.num_nodes:
-            raise ValueError(f"node id {i} out of range [0, {self.num_nodes})")
-        return self._indices[self._indptr[i]:self._indptr[i + 1]]
-
     def pair_keys(self, pairs) -> np.ndarray:
         """The uint64 key ``lo * n + hi`` of each pair in an (m, 2) array:
         two pairs share a key exactly when they name the same unordered
@@ -163,14 +170,17 @@ class Graph:
     def to_scipy_csr(self) -> sparse.csr_matrix:
         """Adjacency as a scipy CSR matrix with float64 ones (cached).
 
-        The cache is filled without a lock: threads that race on the first
-        call each build an equal matrix, so a race costs only duplicate work.
+        Every caller shares it, so its arrays are read-only. The cache is
+        filled without a lock: threads that race on the first call each
+        build an equal matrix, so a race costs only duplicate work.
         """
         if self._csr is None:
             n = self.num_nodes
             data = np.ones(self._indices.size, dtype=np.float64)
             mat = sparse.csr_matrix(
                 (data, self._indices.copy(), self._indptr.copy()), shape=(n, n))
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.flags.writeable = False
             self._csr = mat
         return self._csr
 
@@ -226,8 +236,8 @@ def read_edge_list(path) -> np.ndarray:
     """Read integer pairs from a text file.
 
     Accepts whitespace- or comma-separated ids, one pair per line. Blank
-    lines and lines starting with '#' are skipped. Malformed lines raise
-    EdgeListParseError naming the offending line number.
+    lines and lines starting with '#' are skipped. EdgeListParseError names
+    the line of a malformed line, and an id beyond int64.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -246,7 +256,12 @@ def read_edge_list(path) -> np.ndarray:
                     f"{path}: line {ln}: non-integer token in {text!r}") from exc
     if not rows:
         return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        bad = next(v for pair in rows for v in pair if v not in _INT64_IDS)
+        raise EdgeListParseError(f"{path}: node id {bad} is not an integer in "
+                                 f"int64 range") from None
 
 
 def write_edge_list(pairs, path) -> None:

@@ -25,9 +25,9 @@ from .graph import Graph, build_graph, read_edge_list
 from .generators import LfrParams, generate_lfr, generate_price
 from .metrics import auc_roc, rbo, top_c_recommend, vcmpr_at_c
 from .predictors import MethodSpec, _is_number, score_method
-from .sampling import make_split, split_positive
+from .sampling import _SAMPLERS, make_split, split_positive
 
-SAMPLERS = ("uniform", "degree-corrected")
+SAMPLERS = tuple(_SAMPLERS)
 TASKS = ("link-prediction", "recommendation")
 
 
@@ -202,18 +202,21 @@ class ReportRow:
     value: float | str
 
 
-def write_rows_csv(rows, path) -> None:
-    """Fixed-schema CSV: graph,method,sampler,repeat,metric,value.
-
-    Floats are written with repr (shortest round-trip form), so equal
-    results produce byte-identical files.
-    """
+def write_csv(path, header, rows) -> None:
+    """CSV with a header row and "\n" line ends; floats as repr (shortest
+    round-trip form), so equal results produce byte-identical files."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["graph", "method", "sampler", "repeat", "metric", "value"])
-        for r in rows:
-            value = repr(float(r.value)) if isinstance(r.value, float) else r.value
-            writer.writerow([r.graph, r.method, r.sampler, r.repeat, r.metric, value])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def write_rows_csv(rows, path) -> None:
+    """Fixed-schema CSV: graph,method,sampler,repeat,metric,value."""
+    write_csv(path, ["graph", "method", "sampler", "repeat", "metric", "value"],
+              ((r.graph, r.method, r.sampler, r.repeat, r.metric, r.value)
+               for r in rows))
 
 
 RECOMMENDATION = "recommendation"

@@ -224,9 +224,10 @@ def _score_shortest_path(train, arr, spec):
 
 
 def _lrw_operators(train):
-    """(q, P^T) of the local random walk: q = deg / 2m and P = D^-1 A."""
+    """(q, P^T) of the local random walk: q = deg / 2m and P = D^-1 A.
+    An edgeless graph has deg = 0, so q = 0 and every lrw score is +0.0."""
     deg = train.degrees.astype(np.float64)
-    q = deg / (2.0 * train.num_edges)
+    q = deg / max(2.0 * train.num_edges, 1.0)
     # with A symmetric, P^T is A with columns scaled by 1/deg
     return q, _column_weighted(train.to_scipy_csr(), _reciprocal(deg))
 
@@ -275,8 +276,6 @@ def _last_step(PT, W, rows, cols):
 
 
 def _score_lrw(train, arr, spec):
-    if train.num_edges == 0:
-        return np.zeros(arr.shape[0], dtype=np.float64)
     q, PT = _lrw_operators(train)
     uniq, col_of = np.unique(arr, return_inverse=True)
     col_of = col_of.reshape(arr.shape)
@@ -346,8 +345,6 @@ def _block_shortest_path(train, lo, hi, spec):
 
 def _block_lrw(train, lo, hi, spec):
     n = train.num_nodes
-    if train.num_edges == 0:
-        return np.zeros((hi - lo, n), dtype=np.float64)
     q, PT = _lrw_operators(train)
     # with W = (P^T)^(s-1): fwd[:, r] is column lo + r of P^T @ W and
     # bwd[r] its row lo + r

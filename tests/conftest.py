@@ -1,5 +1,6 @@
-"""Shared test plumbing: a registry that echoes acceptance verdicts, and
-the dense adjacency matrix that the scorer oracles start from.
+"""Shared test plumbing: a registry that echoes acceptance verdicts, the
+dense adjacency matrix that the scorer oracles start from, and a node's
+neighbour slice of the CSR.
 
 Acceptance tests record one line each; the hook below prints them as a
 block at the end of the run so the verdicts are visible even when pytest
@@ -18,6 +19,11 @@ def dense_adjacency(g):
     e = g.edge_array()
     a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
     return a
+
+
+def neighbors(g, i):
+    """Sorted neighbour ids of node i: its slice of g's CSR."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]]
 
 
 def record_acceptance(line: str) -> None:

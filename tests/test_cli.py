@@ -9,7 +9,6 @@ import pytest
 from linkbench import (MethodSpec, build_graph, expected_pa_auc,
                        fit_lognormal_degrees, read_edge_list, score_method,
                        write_edge_list)
-from linkbench import cli
 from linkbench.cli import main
 
 
@@ -211,6 +210,16 @@ def test_bad_arguments_exit_two(tmp_path):
     assert res.returncode == 2
 
 
+def test_id_beyond_int64_exits_two_naming_it(tmp_path):
+    # used to end in an OverflowError traceback with exit 1
+    graph_file = tmp_path / "huge.edges"
+    graph_file.write_text(f"0 1\n1 {10**23}\n")
+    res = run_cli("theory", "--graph", str(graph_file))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and str(10**23) in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_evaluate_bad_config_exits_two(tmp_path):
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps({
@@ -240,7 +249,7 @@ def test_evaluate_bad_recipe_value_exits_two(tmp_path, capsys):
 
 
 def test_main_parses_each_call_afresh_with_one_parser(tmp_path, capsys):
-    # main builds its parser once per process; a second subcommand, and a
+    # calls in one process share nothing: a second subcommand, and a
     # default that an earlier call overrode, must still parse as if new
     graph_file = tmp_path / "g.edges"
     assert main(["generate", "price", "--n", "120", "--m", "3", "--seed", "4",
@@ -259,4 +268,3 @@ def test_main_parses_each_call_afresh_with_one_parser(tmp_path, capsys):
         main(["split", "--graph", str(graph_file)])
     assert exc.value.code == 2
     assert "--out-prefix" in capsys.readouterr().err
-    assert cli._parser() is cli._parser()

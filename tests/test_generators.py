@@ -215,6 +215,16 @@ def test_degree_sequence_graph_realizes_easy_sequence():
     assert np.array_equal(np.sort(g.degrees), np.sort(degrees))
 
 
+def test_stub_loss_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="discarded 4 of 6 stubs") as seen:
+        degree_sequence_graph([5, 1], seed=0)
+    params = LfrParams(n=60, tau1=2.5, tau2=3.0, mu=0.5, avg_degree=8,
+                       max_degree=20, min_comm=25, max_comm=40)
+    with pytest.warns(UserWarning, match="discarded .* stubs") as seen_lfr:
+        generate_lfr(params, seed=1)
+    assert [w.filename for w in seen.list + seen_lfr.list] == [__file__] * 2
+
+
 def test_mixing_fraction_hand_case():
     g = build_graph([(0, 1), (2, 3), (1, 2)])
     labels = np.array([0, 0, 1, 1])

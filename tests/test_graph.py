@@ -1,3 +1,4 @@
+import re
 import resource
 import sys
 import threading
@@ -5,8 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from linkbench import (EdgeListParseError, build_graph, generate_price,
-                       read_edge_list, write_edge_list)
+from conftest import neighbors
+from linkbench import (EdgeListParseError, MethodSpec, build_graph,
+                       generate_price, read_edge_list, score_method,
+                       write_edge_list)
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -95,11 +98,36 @@ def test_huge_node_id_rejected():
 def test_id_out_of_range_rejected():
     with pytest.raises(ValueError):
         build_graph([(0, 5)], num_nodes=3)
-    g = build_graph(TRIANGLE)
     with pytest.raises(ValueError):
-        g.neighbors(3)
-    with pytest.raises(ValueError):
-        g.has_edges([(0, 3)])
+        build_graph(TRIANGLE).has_edges([(0, 3)])
+
+
+@pytest.mark.parametrize("pairs, named", [
+    ([(0.7, 1.2), (2.2, 3.9)], "0.7"),      # was built as (0, 1), (2, 3)
+    (np.array([[0.0, 1.5]]), "1.5"),
+    (np.array([[0.0, np.nan]]), "nan"),
+    ([(0, float("inf"))], "inf"),
+    ([[True, 1]], "True"),                  # was the pair (1, 1)
+    ([(0, 10**23)], str(10**23)),           # was an OverflowError
+    (np.array([[0, 2**63]], dtype=np.uint64), str(2**63)),
+], ids=["fraction", "fraction-array", "nan", "inf", "bool", "huge",
+        "huge-uint64"])
+def test_non_integer_ids_rejected_naming_them(pairs, named):
+    match = f"node id {re.escape(named)} is not an integer"
+    with pytest.raises(ValueError, match=match):
+        build_graph(pairs)
+    with pytest.raises(ValueError, match=match):
+        score_method(build_graph(TRIANGLE), pairs, MethodSpec("cn"))
+
+
+def test_whole_number_ids_of_any_dtype_accepted():
+    want = build_graph(TRIANGLE).edge_array()
+    for pairs in (np.array(TRIANGLE, dtype=np.float64),
+                  np.array(TRIANGLE, dtype=np.int32),
+                  np.array(TRIANGLE, dtype=np.uint64),
+                  [(np.int64(i), np.uint8(j)) for i, j in TRIANGLE],
+                  [(float(i), j) for i, j in TRIANGLE]):
+        assert np.array_equal(build_graph(pairs).edge_array(), want)
 
 
 def test_empty_graph_is_valid():
@@ -130,12 +158,12 @@ def test_adjacency_invariants_random():
         g = build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes=n)
         total = 0
         for i in range(n):
-            nb = g.neighbors(i)
+            nb = neighbors(g, i)
             total += nb.size
             assert np.all(np.diff(nb) > 0)          # sorted, no repeats
             assert i not in nb                       # no self loops
             for j in nb:
-                assert i in g.neighbors(int(j))      # symmetry
+                assert i in neighbors(g, int(j))     # symmetry
         assert total == 2 * g.num_edges
 
 
@@ -206,7 +234,7 @@ def test_has_edge_matches_linear_scan():
     pairs = rng.integers(0, 30, size=(120, 2))
     g = build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes=30)
     for i in range(30):
-        row = set(g.neighbors(i).tolist())
+        row = set(neighbors(g, i).tolist())
         for j in range(30):
             assert g.has_edges([(i, j)])[0] == (j in row)
 
@@ -234,6 +262,15 @@ def test_read_edge_list_rejects_extra_columns(tmp_path):
     p = tmp_path / "w.txt"
     p.write_text("0 1\n0 1 5\n")
     with pytest.raises(EdgeListParseError, match="line 2.*got 3 tokens"):
+        read_edge_list(p)
+
+
+def test_read_edge_list_rejects_ids_beyond_int64(tmp_path):
+    # such an id used to end in an OverflowError
+    p = tmp_path / "huge.txt"
+    p.write_text(f"0 1\n1 {2**63}\n")
+    with pytest.raises(EdgeListParseError,
+                       match=f"node id {2**63} is not an integer"):
         read_edge_list(p)
 
 
@@ -294,5 +331,21 @@ def test_caches_fill_equal_under_threads():
                 assert c.shape == csr.shape
                 for part in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(c, part), getattr(csr, part))
+                    assert not getattr(c, part).flags.writeable
     finally:
         sys.setswitchinterval(old)
+
+
+def test_cached_csr_is_read_only():
+    # every caller shares the cached matrix: a write through it used to
+    # double every later cn score of the graph
+    g = generate_price(80, 3, seed=2)
+    pairs = g.edge_array()[:20]
+    spec = MethodSpec("cn")
+    before = score_method(g, pairs, spec)
+    csr = g.to_scipy_csr()
+    for part in (csr.data, csr.indices, csr.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            part[:] = 2
+    assert np.array_equal(score_method(g, pairs, spec), before)
+    assert g.to_scipy_csr() is csr

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import neighbors
 from linkbench import (MethodSpec, build_graph, score_method, split_positive,
                        write_edge_list)
 from linkbench.cli import main
@@ -288,7 +289,7 @@ def oracle_vcmpr(train, positives, spec, top_c):
         partners.setdefault(j, set()).add(i)
     vals = []
     for node in sorted(partners):
-        banned = set(train.neighbors(node).tolist()) | {node}
+        banned = set(neighbors(train, node).tolist()) | {node}
         cands = [j for j in range(train.num_nodes) if j not in banned]
         scores = score_method(train, [(node, j) for j in cands], spec)
         order = sorted(zip(cands, scores), key=lambda t: (-t[1], t[0]))

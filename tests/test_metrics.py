@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import neighbors
 from linkbench import (METHODS, MethodSpec, auc_roc, build_graph, metrics,
                        predictors, rbo, score_method, top_c_recommend,
                        vcmpr_at_c, vcmpr_per_node)
@@ -76,7 +77,7 @@ def oracle_top_c(train, spec, c):
     """All-pairs scoring plus a python sort; ties by ascending id."""
     out = {}
     for i in range(train.num_nodes):
-        banned = set(train.neighbors(i).tolist()) | {i}
+        banned = set(neighbors(train, i).tolist()) | {i}
         cands = [j for j in range(train.num_nodes) if j not in banned]
         if not cands:
             out[i] = []

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from conftest import dense_adjacency
+from conftest import dense_adjacency, neighbors
 from linkbench import (METHODS, MethodSpec, build_graph, generate_price,
                        make_split, predictors, score_method)
 
@@ -23,7 +23,7 @@ def bfs_distance(g, src):
     while frontier:
         nxt = []
         for u in frontier:
-            for v in g.neighbors(u).tolist():
+            for v in neighbors(g, u).tolist():
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -33,8 +33,8 @@ def bfs_distance(g, src):
 
 def brute_score(g, i, j, method, epsilon=0.01, walk_steps=3):
     """Set/dense-matrix reference implementations, one per method."""
-    gi = set(g.neighbors(i).tolist())
-    gj = set(g.neighbors(j).tolist())
+    gi = set(neighbors(g, i).tolist())
+    gj = set(neighbors(g, j).tolist())
     inter = gi & gj
     if method == "pa":
         return float(len(gi) * len(gj))

@@ -1,5 +1,7 @@
 """Property tests on small random graphs (needs hypothesis)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,45 @@ def test_remaining_scorers_match_dense_oracles(g, walk_steps, data):
         np.testing.assert_allclose(predictors.score_block(g, lo, hi, spec),
                                    want[lo:hi], rtol=rtol, atol=0,
                                    err_msg=repr(spec))
+
+
+@st.composite
+def near_complete_graphs(draw):
+    """A complete graph on 2..12 nodes minus up to four edges, with up to
+    three isolated nodes besides."""
+    k = draw(st.integers(2, 12))
+    edges = list(itertools.combinations(range(k), 2))
+    removed = draw(st.sets(st.sampled_from(edges), max_size=4))
+    isolated = draw(st.integers(0, 3))
+    return build_graph([e for e in edges if e not in removed],
+                       num_nodes=k + isolated)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=near_complete_graphs(), shortfall=st.integers(-2, 3),
+       seed=st.integers(0, 2**32))
+@example(g=build_graph(list(itertools.combinations(range(12), 2))),
+         shortfall=0, seed=0)
+def test_samplers_on_near_complete_graphs(g, shortfall, seed):
+    # a sampler raises ValueError exactly when fewer non-edges exist than
+    # asked for; otherwise it finds them all without a SaturationError
+    a = dense_adjacency(g)
+    i, j = np.triu_indices(g.num_nodes, 1)
+    free = a[i, j] == 0
+    both_linked = (a.sum(axis=1)[i] > 0) & (a.sum(axis=1)[j] > 0)
+    for fn, ok in ((sample_negative_uniform, free),
+                   (sample_negative_degree_corrected, free & both_linked)):
+        allowed = set(zip(i[ok].tolist(), j[ok].tolist()))
+        count = max(1, len(allowed) - shortfall)
+        if count > len(allowed):
+            with pytest.raises(ValueError):
+                fn(g, count, seed)
+            continue
+        got = fn(g, count, seed)
+        pairs = {(min(p), max(p)) for p in got.tolist()}
+        assert got.shape == (count, 2) and len(pairs) == count
+        assert pairs <= allowed
+        assert np.array_equal(fn(g, count, seed), got)
 
 
 @st.composite
