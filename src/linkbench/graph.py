@@ -8,6 +8,9 @@ threads and repeated calls.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 from scipy import sparse
 
@@ -20,6 +23,12 @@ class EdgeListParseError(ValueError):
 # ids an int64 array can hold.
 _MAX_NODES = 2**32
 _INT64_IDS = range(-2**63, 2**63)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is a kind of number, finite if real, and not a bool."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (kind is numbers.Integral or math.isfinite(value)))
 
 
 def _as_pair_array(pairs, num_nodes: int | None = None) -> np.ndarray:
@@ -178,7 +187,7 @@ class Graph:
             n = self.num_nodes
             data = np.ones(self._indices.size, dtype=np.float64)
             mat = sparse.csr_matrix(
-                (data, self._indices.copy(), self._indptr.copy()), shape=(n, n))
+                (data, self._indices, self._indptr), shape=(n, n))
             for arr in (mat.data, mat.indices, mat.indptr):
                 arr.flags.writeable = False
             self._csr = mat

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph, read_edge_list
+from .graph import Graph, _is_number, build_graph, read_edge_list
 from .generators import LfrParams, generate_lfr, generate_price
 from .metrics import auc_roc, rbo, top_c_recommend, vcmpr_at_c
-from .predictors import MethodSpec, _is_number, score_method
+from .predictors import MethodSpec, score_method
 from .sampling import _SAMPLERS, make_split, split_positive
 
 SAMPLERS = tuple(_SAMPLERS)

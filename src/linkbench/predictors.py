@@ -12,14 +12,13 @@ for lrw's walk by its column batch.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .graph import _as_pair_array
+from .graph import _as_pair_array, _is_number
 
 # One budget bounds the pair kernels' memory: the sparse row entries one
 # pair chunk may build, and the uint64 words (2**21 = 16 MiB) of the
@@ -52,12 +51,6 @@ class MethodSpec:
             raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon!r}")
         if not _is_number(self.walk_steps, numbers.Integral) or self.walk_steps < 2:
             raise ValueError(f"walk_steps must be an integer >= 2, got {self.walk_steps!r}")
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether value is a kind of number, finite if real, and not a bool."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (kind is numbers.Integral or math.isfinite(value)))
 
 
 def _reciprocal(x):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
+from linkbench import generators
 from linkbench import (GenerationError, LfrParams, build_graph,
                        degree_sequence_graph, fit_lognormal_degrees,
                        generate_lfr, generate_price, mixing_fraction,
@@ -46,11 +47,67 @@ def reference_price(n, m, seed):
 @pytest.mark.parametrize("n, m, seed", [
     (2, 1, 0), (6, 5, 3), (400, 1, 7), (500, 3, 11), (800, 7, 2),
     (300, 12, 5), (1000, 4, 9),
+    # windows of up to 960 nodes; m = 1, which never repeats (windows of up
+    # to 13,614 nodes); a repeat at almost every node
+    (20_000, 8, 2), (30_000, 1, 5), (3_000, 50, 4),
 ])
 def test_price_matches_reference_loop(n, m, seed):
     got, want = generate_price(n, m, seed), reference_price(n, m, seed)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
+
+
+@pytest.mark.parametrize("n, m, seed", [(5_000, 1, 5), (5_000, 5, 0)])
+def test_price_at_the_window_cap_matches_reference_loop(monkeypatch, n, m, seed):
+    # windows never pass _MAX_WINDOW nodes, which bounds their memory; only
+    # graphs of ~10**5 nodes reach 2**16, so a small cap stands in for it
+    monkeypatch.setattr(generators, "_MAX_WINDOW", 16)
+    drawn = []
+    window_picks = generators._window_picks
+
+    def record(stubs, e, idx):
+        drawn.append(idx.size)
+        return window_picks(stubs, e, idx)
+
+    monkeypatch.setattr(generators, "_window_picks", record)
+    got, want = generate_price(n, m, seed), reference_price(n, m, seed)
+    assert np.array_equal(got.indices, want.indices)
+    assert max(drawn) == 16 * m
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.SFC64,
+                   np.random.Philox]
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+@pytest.mark.parametrize("low_bound", [1_000, 2**32 - 2**20, 2**33],
+                         ids=["below-2**32", "across-2**32", "above-2**32"])
+def test_array_bound_integers_equal_sequential_calls(bit_generator, low_bound):
+    # generate_price draws a window of nodes' picks in one call with an
+    # array of bounds, and is exact only while numpy gives the values and
+    # end state of one size-m call per bound
+    m = 3
+    highs = np.repeat(low_bound + 2**15 * np.arange(65, dtype=np.int64), m)
+    one, each = (np.random.Generator(bit_generator(5)) for _ in range(2))
+    got = one.integers(0, highs)
+    want = np.concatenate([each.integers(0, h, size=m) for h in highs[::m]])
+    assumption = ("numpy no longer draws integers(0, highs) bound by bound as "
+                  "the per-bound calls do; generate_price relies on it")
+    assert np.array_equal(got, want), assumption
+    for high in (1_000, 2**40):  # the next draws, from 32- and 64-bit paths
+        assert np.array_equal(one.integers(0, high, size=9),
+                              each.integers(0, high, size=9)), assumption
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+def test_price_from_a_generator_matches_reference_and_end_state(bit_generator):
+    mine, theirs = (np.random.Generator(bit_generator(3)) for _ in range(2))
+    got = generate_price(20_000, 5, mine)
+    want = reference_price(20_000, 5, theirs)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(mine.integers(0, 2**40, size=8),
+                          theirs.integers(0, 2**40, size=8))
 
 
 def test_price_seed_clique_only():
@@ -77,6 +134,23 @@ def test_price_rejects_bad_sizes():
         generate_price(3, 3, seed=0)
     with pytest.raises(ValueError):
         generate_price(10, 0, seed=0)
+
+
+@pytest.mark.parametrize("n, m, name", [
+    (100.7, 3, "n"), (100, 2.5, "m_per_node"), (100, True, "m_per_node"),
+    (True, 1, "n"), (float("nan"), 3, "n"), (100, float("inf"), "m_per_node"),
+    (100.0, 3, "n"), ("100", 3, "n"), (100, None, "m_per_node"),
+])
+def test_price_rejects_non_integer_sizes(n, m, name):
+    # these used to be truncated (100.7 nodes built 100, m = 2.5 used 2)
+    # or read as 1 (True)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        generate_price(n, m, seed=0)
+
+
+def test_price_accepts_numpy_integer_sizes():
+    got = generate_price(np.int64(300), np.int32(4), seed=1)
+    assert np.array_equal(got.indices, generate_price(300, 4, seed=1).indices)
 
 
 def test_price_deterministic_per_seed():

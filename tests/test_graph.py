@@ -349,3 +349,10 @@ def test_cached_csr_is_read_only():
             part[:] = 2
     assert np.array_equal(score_method(g, pairs, spec), before)
     assert g.to_scipy_csr() is csr
+    # the matrix is built from the graph's own arrays: they stay read-only,
+    # and no writable array aliases them
+    for own, part in ((g.indices, csr.indices), (g.indptr, csr.indptr)):
+        assert not own.flags.writeable
+        assert not (np.shares_memory(own, part) and part.flags.writeable)
+        assert np.array_equal(own, part)
+    assert csr.has_sorted_indices
