@@ -11,6 +11,7 @@ for lrw's walk by its column batch.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -21,10 +22,11 @@ from scipy import sparse
 from .graph import _as_pair_array, _is_number
 
 # One budget bounds the pair kernels' memory: the sparse row entries one
-# pair chunk may build, and the uint64 words (2**21 = 16 MiB) of the
+# pair chunk may build (lpi: a quarter for rows of A^2, a quarter for its
+# lookup cells), and the uint64 words (2**21 = 16 MiB) of the
 # (nnz, S / 64) gather of one BFS level over S sources. Pair budgets of
 # 2**20 to 2**22 ran equally fast on a 500k-edge graph, but lp-large's two
-# lpi cells took 2.67 -> 2.88 s at 2**20.
+# lpi cells took 2.67 -> 2.88 s at 2**20 with a per-pair A^2 row.
 _CHUNK_BUDGET = 1 << 21
 
 # lrw walks a column batch as sparse columns until this share of its n * b
@@ -69,17 +71,38 @@ def _chunks(total, step):
         yield lo, min(lo + step, total)
 
 
-def _budget_chunks(cost):
+def _budget_chunks(cost, budget=None):
     """Yield (lo, hi) slices that cut items 0..len(cost)-1 into consecutive
     chunks. Item k costs cost[k] + 1, so free items still fill a chunk. A
-    chunk costs at most _CHUNK_BUDGET, except that an item over budget gets
-    a chunk of its own, so a caller whose costs count the entries an item
-    builds holds O(_CHUNK_BUDGET + items) entries at a time."""
+    chunk costs at most budget (_CHUNK_BUDGET if None), except that an item
+    over budget gets a chunk of its own, so a caller whose costs count the
+    entries an item builds holds O(budget + items) entries at a time."""
+    budget = _CHUNK_BUDGET if budget is None else budget
     ends = np.cumsum(np.asarray(cost, dtype=np.int64) + 1)
     lo = 0
     while lo < ends.size:
         spent = ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(ends, spent + _CHUNK_BUDGET, side="right"))
+        hi = int(np.searchsorted(ends, spent + budget, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _grid_chunks(rows, cost, budget):
+    """Yield (lo, hi) slices that cut items 0..len(cost)-1 into consecutive
+    chunks, where item k sits on row rows[k] (non-decreasing) and takes
+    cost[k] >= 1 columns. A chunk's grid, the rows it spans times the
+    columns its items take, holds at most budget cells, except that an item
+    over budget gets a chunk of its own."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < ends.size:
+        spent = ends[lo - 1] if lo else 0
+
+        def cells(k):  # of the chunk lo..k
+            return (rows[k] - rows[lo] + 1) * (ends[k] - spent)
+
+        hi = bisect.bisect_right(range(ends.size), budget, lo=lo, key=cells)
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
@@ -90,9 +113,11 @@ def _overlap_sum(A, B, arr):
 
     A chunk of pairs costs the entries of its rows, nnz(A[i]) + nnz(B[j])
     per pair, cut by _budget_chunks; peak memory is O(budget + pairs),
-    whichever hubs a chunk draws. Each row sums its own entries
-    index-ascending, so the result depends neither on endpoint order nor
-    on where the chunks are cut.
+    whichever hubs a chunk draws. The row sum is scipy's: np.add.reduceat
+    over each row's products in ascending column order, which is neither a
+    running sum nor np.sum, so a rewrite must keep it to keep the bits. It
+    depends only on the row, so neither endpoint order nor chunk borders
+    move a result.
     """
     cost = np.diff(A.indptr)[arr[:, 0]] + np.diff(B.indptr)[arr[:, 1]]
     out = np.empty(arr.shape[0], dtype=np.float64)
@@ -140,28 +165,95 @@ def _score_resource_alloc(train, arr, spec):
     return _score_weighted_cn(train, arr, _reciprocal(train.degrees))
 
 
+def _gather_entries(Z, rows, cols, slot, buf):
+    """Z[rows[k], cols[k]] per k, as int64.
+
+    A sparse accumulator (Gustavson, ACM TOMS 4(3), 1978) over a compact
+    column space: slot, an n-sized array of -1, numbers cols 0..w-1; the
+    entries of Z's rows r0..r1-1 (the span of rows) that fall on them are
+    scattered into buf, keyed by (row - r0) * w + number, read back, and
+    cleared, as is slot. buf must be all 0 and hold (r1 - r0) * w cells.
+    """
+    r0, r1 = rows.min(), rows.max() + 1
+    width = cols.size
+    slot[cols] = np.arange(width)
+    z = slice(Z.indptr[r0], Z.indptr[r1])
+    col = slot[Z.indices[z]]
+    hit = np.flatnonzero(col >= 0)
+    row = np.searchsorted(Z.indptr[r0 + 1:r1 + 1], hit + z.start, side="right")
+    at = row * width + col[hit]
+    buf[at] = Z.data[z][hit]
+    out = buf[(rows - r0) * width + slot[cols]]
+    buf[at] = 0
+    slot[cols] = -1
+    return out
+
+
 def _score_lpi(train, arr, spec):
     """paths2 + epsilon * paths3, the 2- and 3-walk counts of each pair.
 
-    paths3(i, j) is A^2[i] . A[j], a symmetric integer, so each pair takes
-    its A^2 row from the endpoint with the smaller two-hop volume
-    vol2 = A @ deg, which bounds the entries of that row. A chunk costs
-    vol2[src] + deg[trg] per pair, cut by _budget_chunks; peak memory is
-    O(budget + pairs), whichever hubs a chunk draws. Every term is an
-    exact integer in float64, so neither orientation nor chunking moves a
-    score.
+    Both are read off one endpoint's row of A^2, which is symmetric: for
+    either orientation (e, o) of a pair, paths2 = A^2[e, o] and paths3 =
+    sum of A^2[e, v] over v in N(o). Each pair expands its higher-degree
+    endpoint e, the one that pairs share most, and the pairs are sorted by
+    e, so each distinct e's row is built once per call: Z = A[E] @ A for
+    chunks E of distinct e whose two-hop volumes vol2 = A @ deg, which
+    bound a row's entries, add up to a quarter of _CHUNK_BUDGET. Sub-chunks
+    of a chunk's pairs read their o and N(o) entries of Z through one
+    lookup buffer (_gather_entries) of (rows spanned) x (ids read) cells,
+    cut to a quarter of _CHUNK_BUDGET by _grid_chunks.
+
+    Peak memory is O(n + pairs + _CHUNK_BUDGET) words, whichever hubs a
+    chunk draws: a chunk or sub-chunk over budget holds one e or one pair,
+    and so at most n entries of Z and 1 + deg(o) <= n cells. Both counts
+    are integers summed in int64, so neither orientation nor chunking
+    moves a score.
     """
     A = train.to_scipy_csr()
+    if A.nnz == 0:  # no walks, and no A.indices to read from below
+        return np.zeros(arr.shape[0], dtype=np.float64)
     deg = train.degrees
+    budget = _CHUNK_BUDGET // 4
+    flip = deg[arr[:, 1]] > deg[arr[:, 0]]
+    e = np.where(flip, arr[:, 1], arr[:, 0])
+    order = np.argsort(e, kind="stable")
+    e = e[order]
+    o = np.where(flip, arr[:, 0], arr[:, 1])[order]
+    # row[k] numbers pair k's e among the distinct e; heads[r] is row r's
+    # first pair
+    new = np.r_[True, e[1:] != e[:-1]]
+    row = np.cumsum(new) - 1
+    heads = np.append(np.flatnonzero(new), e.size)
     vol2 = (A @ deg).astype(np.int64)
-    flip = vol2[arr[:, 1]] < vol2[arr[:, 0]]
-    src = np.where(flip, arr[:, 1], arr[:, 0])
-    trg = np.where(flip, arr[:, 0], arr[:, 1])
-    paths3 = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in _budget_chunks(vol2[src] + deg[trg]):
-        walks = (A[src[lo:hi]] @ A).multiply(A[trg[lo:hi]])
-        paths3[lo:hi] = np.asarray(walks.sum(axis=1)).ravel()
-    return _overlap_sum(A, A, arr) + spec.epsilon * paths3
+    # paths2 and paths3 in sorted order
+    walks = np.empty((2, e.size), dtype=np.int64)
+    slot = np.full(train.num_nodes, -1, dtype=np.int64)
+    buf = np.zeros(0, dtype=np.int64)
+    for g_lo, g_hi in _budget_chunks(vol2[e[heads[:-1]]], budget):
+        Z = A[e[heads[g_lo:g_hi]]] @ A
+        part = slice(heads[g_lo], heads[g_hi])
+        others, z_row, out = o[part], row[part] - g_lo, walks[:, part]
+        reads = 1 + deg[others]
+        for lo, hi in _grid_chunks(z_row, reads, budget):
+            # pair k reads o at first[k], then N(o) from A.indices; at[first]
+            # would point before o's neighbours, so it reads entry 0 instead
+            count = reads[lo:hi]
+            first = np.cumsum(count) - count
+            at = np.repeat(A.indptr[others[lo:hi]] - first - 1, count)
+            at += np.arange(at.size)
+            at[first] = 0
+            cols = A.indices[at]
+            cols[first] = others[lo:hi]
+            rows = np.repeat(z_row[lo:hi], count)
+            cells = (rows[-1] - rows[0] + 1) * cols.size
+            if buf.size < cells:
+                buf = np.zeros(cells, dtype=np.int64)
+            got = _gather_entries(Z, rows, cols, slot, buf)
+            out[0, lo:hi] = got[first]
+            out[1, lo:hi] = np.add.reduceat(got, first) - got[first]
+    paths = np.empty((2, e.size), dtype=np.float64)
+    paths[:, order] = walks
+    return paths[0] + spec.epsilon * paths[1]
 
 
 def _bfs_batch(A):
@@ -381,10 +473,13 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     """Scores of ``spec.method`` for an (m, 2) pair array on the train graph.
 
     The common-neighbour family (cn, jaccard, adamic_adar, resource_alloc)
-    and lpi build sparse rows for chunks of pairs, so their peak memory is
-    O(_CHUNK_BUDGET + pairs) entries, whichever hubs a chunk draws. lrw
-    adds O(n * b) floats for its walk of b = max(16, min(256, 2e7 // n))
-    columns at a time.
+    builds sparse rows for chunks of pairs, so its peak memory is
+    O(_CHUNK_BUDGET + pairs) entries, whichever hubs a chunk draws. lpi
+    builds one A^2 row per distinct higher-degree endpoint, for chunks of
+    those endpoints, and reads each pair's entries from them through a
+    lookup buffer that an n-sized array keys by compact column; its peak
+    memory is O(n + pairs + _CHUNK_BUDGET) words. lrw adds O(n * b) floats
+    for its walk of b = max(16, min(256, 2e7 // n)) columns at a time.
 
     Raises ValueError for a malformed pair array or ids outside the train
     graph, and ArithmeticError if the kernel yields a non-finite score.

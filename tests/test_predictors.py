@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,42 @@ def reference_score_lpi(train, arr, epsilon):
     return out
 
 
+def oriented_score_lpi(train, arr, epsilon):
+    """_score_lpi before grouped rows: each pair builds the A^2 row of its
+    endpoint with the smaller two-hop volume vol2 = A @ deg, in chunks of
+    pairs cut by _budget_chunks at vol2[src] + deg[trg] each."""
+    A = train.to_scipy_csr()
+    deg = train.degrees
+    vol2 = (A @ deg).astype(np.int64)
+    flip = vol2[arr[:, 1]] < vol2[arr[:, 0]]
+    src = np.where(flip, arr[:, 1], arr[:, 0])
+    trg = np.where(flip, arr[:, 0], arr[:, 1])
+    paths3 = np.empty(arr.shape[0], dtype=np.float64)
+    for lo, hi in predictors._budget_chunks(vol2[src] + deg[trg]):
+        walks = (A[src[lo:hi]] @ A).multiply(A[trg[lo:hi]])
+        paths3[lo:hi] = np.asarray(walks.sum(axis=1)).ravel()
+    return predictors._overlap_sum(A, A, arr) + epsilon * paths3
+
+
+def test_common_neighbour_sums_keep_the_reduceat_order():
+    # a pair's weights over its 15 common neighbours sum as np.add.reduceat
+    # sums them in ascending id order (scipy's row sum); a running sum and
+    # np.sum give other last bits on this pair
+    g = generate_price(300, 5, seed=1)
+    common = np.intersect1d(neighbors(g, 1), neighbors(g, 6))
+    assert common.size == 15
+    deg = g.degrees[common].astype(np.float64)
+    for name, weights in (("adamic_adar", 1.0 / np.log(deg)),
+                          ("resource_alloc", 1.0 / deg)):
+        want = np.add.reduceat(weights, [0])[0]
+        running = 0.0
+        for w in weights:
+            running += w
+        assert want != running and want != np.sum(weights), name
+        got = score_method(g, [(1, 6), (6, 1)], MethodSpec(name))
+        assert got.tolist() == [want, want], name
+
+
 def test_budget_chunks_cover_in_order_within_budget(monkeypatch):
     monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 10)
     # each item costs cost + 1; the 20 is over budget and stands alone
@@ -335,6 +372,21 @@ def test_budget_chunks_cover_in_order_within_budget(monkeypatch):
     assert list(predictors._budget_chunks(np.zeros(0, dtype=np.int64))) == []
     monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1)
     assert list(predictors._budget_chunks(np.zeros(3, dtype=np.int64))) == [
+        (0, 1), (1, 2), (2, 3)]
+    # an explicit budget overrides _CHUNK_BUDGET
+    assert list(predictors._budget_chunks(cost, 25)) == [
+        (0, 2), (2, 5), (5, 9)]
+
+
+def test_grid_chunks_cover_in_order_within_budget():
+    # a chunk holds (rows it spans) x (its items' columns) <= 10 cells; the
+    # item of 12 columns is over budget and stands alone
+    rows = np.array([0, 0, 1, 1, 1, 2, 5, 5])
+    cost = np.array([2, 3, 1, 1, 9, 2, 1, 12])
+    assert list(predictors._grid_chunks(rows, cost, 10)) == [
+        (0, 2), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+    assert list(predictors._grid_chunks(rows[:0], cost[:0], 10)) == []
+    assert list(predictors._grid_chunks(rows[:3], cost[:3], 0)) == [
         (0, 1), (1, 2), (2, 3)]
 
 
@@ -355,7 +407,38 @@ def hub_pairs():
     return split.train, pairs[rng.permutation(pairs.shape[0])]
 
 
-@pytest.mark.parametrize("budget", [None, 1, 997, 1 << 14])
+def spy_lookup_borders(monkeypatch):
+    """Record the borders that _score_lpi's lookup sub-chunks cross: "cut"
+    when one starts inside a distinct endpoint's group of pairs, "inside"
+    when one lies within a group, starting and ending inside it, and
+    "over" when one pair's reads alone exceed the cell budget."""
+    seen = set()
+    grid_chunks = predictors._grid_chunks
+
+    def spy(rows, cost, budget):
+        for lo, hi in grid_chunks(rows, cost, budget):
+            starts_in = 0 < lo and rows[lo - 1] == rows[lo]
+            if starts_in:
+                seen.add("cut")
+                if hi < rows.size and rows[hi - 1] == rows[hi]:
+                    seen.add("inside")
+            if cost[lo:hi].sum() > budget:
+                assert hi - lo == 1
+                seen.add("over")
+            yield lo, hi
+
+    monkeypatch.setattr(predictors, "_grid_chunks", spy)
+    return seen
+
+
+# budget (None: the default) -> the lookup borders it must cross; at 512
+# the hub's self-pair reads 157 ids against 128 cells
+BUDGET_BORDERS = {None: {"cut"}, 1: {"cut", "inside", "over"},
+                  512: {"cut", "inside", "over"}, 997: {"cut", "inside"},
+                  1 << 11: {"cut", "inside"}, 1 << 14: {"cut"}}
+
+
+@pytest.mark.parametrize("budget", list(BUDGET_BORDERS))
 def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
     train, pairs = hub_pairs()
     if budget == 1:
@@ -371,7 +454,7 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
         want[epsilon] = reference_score_lpi(train, pairs, epsilon)
     if budget is not None:
         monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
-        # 997 and 2**14 put chunk borders mid-array, with several pairs in
+        # 512 to 2**14 put chunk borders mid-array, with several pairs in
         # most chunks; 1 gives every pair a chunk of its own
         deg = train.degrees
         cost = deg[pairs[:, 0]] + deg[pairs[:, 1]]
@@ -380,9 +463,34 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
     for name in methods:
         got = score_method(train, pairs, MethodSpec(name))
         assert np.array_equal(got, want[name]), name
+    borders = spy_lookup_borders(monkeypatch)
     for epsilon in (0.01, 0.5):
         got = score_method(train, pairs, MethodSpec("lpi", epsilon=epsilon))
         assert np.array_equal(got, want[epsilon]), epsilon
+        assert np.array_equal(got, oriented_score_lpi(train, pairs, epsilon))
+    assert borders >= BUDGET_BORDERS[budget], borders
+
+
+@pytest.mark.parametrize("budget", [1 << 14, None])
+def test_lpi_peak_memory_within_its_stated_bound(budget, monkeypatch):
+    # _score_lpi's O(n + pairs + _CHUNK_BUDGET) words, as traced numpy and
+    # scipy arrays, on a hub-heavy degree-corrected split. At 2**14 the
+    # bound is 8.8 MiB: every distinct endpoint's A^2 row at once would take
+    # 28 MiB, and one lookup grid over all of them 35 GiB.
+    g = generate_price(20000, 5, seed=2)
+    split = make_split(g, 0.25, "degree-corrected", 5)
+    pairs = np.concatenate([split.positives, split.negatives])
+    split.train.to_scipy_csr()  # the cached matrix is the graph's, not lpi's
+    if budget is not None:
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        score_method(split.train, pairs, MethodSpec("lpi"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = 16 * (g.num_nodes + pairs.shape[0]) + 2 * predictors._CHUNK_BUDGET
+    assert peak <= 8 * words, (peak, 8 * words)
 
 
 def reference_walk_columns(PT, nodes, walk_steps):

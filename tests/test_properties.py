@@ -1,6 +1,7 @@
 """Property tests on small random graphs (needs hypothesis)."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,6 +156,11 @@ def test_lpi_and_cn_match_dense_walk_counts(g, epsilon, data):
                               want[pairs[:, 0], pairs[:, 1]]), spec
         assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                               want[lo:hi]), spec
+        # the smallest budget: a chunk per pair and per distinct endpoint,
+        # so self-pairs and repeated endpoints sit at every border
+        with mock.patch.object(predictors, "_CHUNK_BUDGET", 1):
+            assert np.array_equal(score_method(g, pairs, spec),
+                                  want[pairs[:, 0], pairs[:, 1]]), spec
 
 
 @settings(max_examples=50, deadline=None)
