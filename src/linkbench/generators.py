@@ -199,7 +199,10 @@ def sample_powerlaw_degrees(n: int, tau: float, k_min=None, k_max: int = None,
 # stub matching
 # ----------------------------------------------------------------------
 
-def _match_stubs(stubs: np.ndarray, rng, labels=None, max_sweeps: int = 100):
+_MAX_SWEEPS = 100
+
+
+def _match_stubs(stubs: np.ndarray, rng, labels=None):
     """Randomly pair stubs into simple edges.
 
     Each sweep shuffles the remaining stubs and pairs them consecutively.
@@ -207,7 +210,7 @@ def _match_stubs(stubs: np.ndarray, rng, labels=None, max_sweeps: int = 100):
     already produced here, or (when labels are given) join two nodes with
     the same label. A rejected pair is then offered a degree-preserving
     rewire: break a random accepted edge (u, v) and place (a, u) and (b, v)
-    instead, provided both are valid. Stubs that survive max_sweeps are
+    instead, provided both are valid. Stubs that survive _MAX_SWEEPS are
     returned as leftover.
 
     Returns:
@@ -243,7 +246,7 @@ def _match_stubs(stubs: np.ndarray, rng, labels=None, max_sweeps: int = 100):
                 return True
         return False
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if remaining.size < 2:
             break
         remaining = remaining[rng.permutation(remaining.size)]
@@ -338,11 +341,14 @@ class LfrParams:
                 "allowed community; raise max_comm or mu, or lower max_degree")
 
 
-def _community_sizes(n, tau2, s_min, s_max, rng, attempts=100) -> np.ndarray:
+_SIZE_ATTEMPTS = 100
+
+
+def _community_sizes(n, tau2, s_min, s_max, rng) -> np.ndarray:
     support = np.arange(s_min, s_max + 1, dtype=np.int64)
     weights = support.astype(np.float64) ** (-tau2)
     pmf = weights / weights.sum()
-    for _ in range(attempts):
+    for _ in range(_SIZE_ATTEMPTS):
         sizes: list = []
         total = 0
         while total < n:
@@ -358,7 +364,7 @@ def _community_sizes(n, tau2, s_min, s_max, rng, attempts=100) -> np.ndarray:
         return np.asarray(sizes, dtype=np.int64)
     raise GenerationError(
         f"could not draw community sizes in [{s_min}, {s_max}] summing to {n} "
-        f"after {attempts} attempts")
+        f"after {_SIZE_ATTEMPTS} attempts")
 
 
 def _assign_communities(d_int, sizes, rng):

@@ -66,6 +66,11 @@ def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return lo * np.uint64(n) + hi
 
 
+def _decode_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _pair_keys: the (m, 2) int64 pairs (lo, hi) of keys."""
+    return np.stack(np.divmod(keys, np.uint64(n)), axis=1).astype(np.int64)
+
+
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """keys sorted ascending with repeats dropped: np.unique's result by
     one sort and an adjacent-difference mask, which on uint64 keys is far
@@ -136,14 +141,6 @@ class Graph:
         """Degree of every node, as an int64 array of length num_nodes."""
         return np.diff(self._indptr)
 
-    def pair_keys(self, pairs) -> np.ndarray:
-        """The uint64 key ``lo * n + hi`` of each pair in an (m, 2) array:
-        two pairs share a key exactly when they name the same unordered
-        pair. Raises ValueError for a malformed array or an id outside
-        [0, n)."""
-        n = self.num_nodes
-        return _pair_keys(_as_pair_array(pairs, n), n)
-
     def has_edges(self, pairs) -> np.ndarray:
         """Bool mask over an (m, 2) pair array: True where the pair, in
         either orientation, is an edge. Self-pairs give False.
@@ -153,16 +150,20 @@ class Graph:
         sorted edge keys starts where the last one ended and memory is read
         in order; the mask is then put back in query order.
         """
-        keys = self.pair_keys(pairs)
+        n = self.num_nodes
+        keys = _pair_keys(_as_pair_array(pairs, n), n)
         order = np.argsort(keys)
-        queries = keys[order]
+        hit = np.empty(keys.size, dtype=bool)
+        hit[order] = self._has_sorted_keys(keys[order])
+        return hit
+
+    def _has_sorted_keys(self, queries: np.ndarray) -> np.ndarray:
+        """Bool mask over ascending pair keys: True at an edge's key."""
         edges = self._keys
         pos = np.searchsorted(edges, queries)
         found = pos < edges.size
         found[found] = edges[pos[found]] == queries[found]
-        hit = np.empty_like(found)
-        hit[order] = found
-        return hit
+        return found
 
     # ------------------------------------------------------------------
     # derived views
@@ -173,8 +174,7 @@ class Graph:
 
         Decoded from the edge keys into a new array on each call.
         """
-        return np.stack(np.divmod(self._keys, np.uint64(self.num_nodes)),
-                        axis=1).astype(np.int64)
+        return _decode_keys(self._keys, self.num_nodes)
 
     def to_scipy_csr(self) -> sparse.csr_matrix:
         """Adjacency as a scipy CSR matrix with float64 ones (cached).

@@ -1,12 +1,13 @@
 """Benchmark edge splitting and negative-pair sampling.
 
 Positives are a uniform sample of edges; the train graph is the remainder.
-Negatives come in two flavors. The uniform sampler draws both endpoints
-uniformly from the node set, which makes negative endpoints follow the plain
-degree law while positive endpoints follow the size-biased one. The
-degree-corrected sampler draws endpoints proportionally to their degree in
-the original graph, so negatives match the positives' endpoint law and the
-benchmark stops rewarding degree alone.
+Negatives come in two flavors that differ only in their endpoint table:
+each endpoint is a uniform draw from a table of node ids. The uniform
+sampler's table lists every node once, which makes negative endpoints follow
+the plain degree law while positive endpoints follow the size-biased one.
+The degree-corrected sampler's table lists every node once per incident
+edge of the original graph, so negatives match the positives' endpoint law
+and the benchmark stops rewarding degree alone.
 
 Both samplers reject self-pairs, pairs already sampled and every edge of the
 original graph, held-out positives included; both are deterministic per seed.
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _as_pair_array, build_graph
+from .graph import (Graph, _as_pair_array, _decode_keys, _pair_keys,
+                    build_graph)
 
 
 class SaturationError(RuntimeError):
@@ -58,23 +60,28 @@ def split_positive(g: Graph, beta: float, seed) -> tuple[Graph, np.ndarray]:
     edges = g.edge_array()
     keep = np.ones(m, dtype=bool)
     keep[chosen] = False
-    positives = edges[chosen].copy()
+    positives = edges[chosen]
     train = build_graph(edges[keep], num_nodes=g.num_nodes)
     return train, positives
 
 
-def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
-    """Draw the first count distinct non-edges of g, in proposal order.
+def _available(table, g: Graph) -> int:
+    """d * (d - 1) / 2 - M: the non-edges of g between the d distinct ids
+    of a sorted endpoint table that lists both ends of every edge."""
+    d = np.count_nonzero(table[1:] != table[:-1]) + 1 if table.size else 0
+    return d * (d - 1) // 2 - g.num_edges
 
-    draw(rng, size) yields an (size, 2) int array of endpoint proposals;
-    self-pairs are rejected. Raises SaturationError past 1e4 * count
-    proposals.
-    """
+
+def _rejection_sample(table, g: Graph, count: int, seed) -> np.ndarray:
+    """The first count distinct non-edges of g in proposal order, as
+    canonical (lo, hi) pairs, both endpoints of every proposal drawn
+    uniformly from the int64 id table. Raises SaturationError past
+    1e4 * count proposals."""
+    n = g.num_nodes
     rng = np.random.default_rng(seed)
     budget = 10_000 * count
     attempts = 0
     accepted = np.zeros(0, dtype=np.uint64)
-    pairs = [np.zeros((0, 2), dtype=np.int64)]
     while accepted.size < count:
         size = min(max(1024, 2 * (count - accepted.size)), budget - attempts)
         if size <= 0:
@@ -82,57 +89,43 @@ def _rejection_sample(draw, g: Graph, count: int, seed) -> np.ndarray:
                 f"negative sampling used more than {budget} proposals "
                 f"for {count} pairs; the graph is likely near-complete")
         attempts += size
-        prop = draw(rng, size)
-        prop = np.sort(prop[(prop[:, 0] != prop[:, 1]) & ~g.has_edges(prop)],
-                       axis=1)
-        keys = g.pair_keys(prop)
-        _, first = np.unique(keys, return_index=True)
-        first = np.sort(first)
-        first = first[~np.isin(keys[first], accepted)][:count - accepted.size]
-        accepted = np.concatenate([accepted, keys[first]])
-        pairs.append(prop[first])
-    return np.concatenate(pairs)
+        prop = table[rng.integers(0, table.size, size=(size, 2))]
+        keys = _pair_keys(prop[prop[:, 0] != prop[:, 1]], n)
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.ones(ranked.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        first &= ~g._has_sorted_keys(ranked) & ~np.isin(ranked, accepted)
+        fresh = keys[np.sort(order[first])][:count - accepted.size]
+        accepted = np.concatenate([accepted, fresh])
+    return _decode_keys(accepted, n)
 
 
 def sample_negative_uniform(g: Graph, count: int, seed) -> np.ndarray:
-    """Sample distinct non-edges of g with endpoints uniform over its nodes."""
-    n = g.num_nodes
-    available = n * (n - 1) // 2 - g.num_edges
+    """Sample distinct non-edges of g with endpoints uniform over its nodes:
+    the endpoint table lists each node id once."""
+    table = np.arange(g.num_nodes, dtype=np.int64)
+    available = _available(table, g)
     if count > available:
         raise ValueError(
             f"requested {count} negatives but only {available} non-edges exist")
-
-    def draw(rng, size):
-        return rng.integers(0, n, size=(size, 2), dtype=np.int64)
-
-    return _rejection_sample(draw, g, count, seed)
+    return _rejection_sample(table, g, count, seed)
 
 
 def sample_negative_degree_corrected(g: Graph, count: int, seed) -> np.ndarray:
-    """Sample distinct non-edges of g, endpoints drawn proportional to degree.
-
-    Endpoint probabilities use g's degrees, which is equivalent to drawing
-    uniformly from the multiset that lists each node once per incident
-    edge. Nodes of degree 0 are never selected. That multiset is kept as a
-    stub table of 2 * num_edges int64 node ids, O(m) memory.
-    """
-    n = g.num_nodes
-    deg = g.degrees
-    total = int(deg.sum())
-    if total == 0:
+    """Sample distinct non-edges of g, endpoints drawn proportional to degree:
+    the endpoint table lists each node once per incident edge, in
+    2 * num_edges int64 ids (O(m) memory), so nodes of degree 0 are never
+    drawn."""
+    if g.num_edges == 0:
         raise ValueError("degree-corrected sampling needs at least one edge")
-    d = int(np.count_nonzero(deg))
-    available = d * (d - 1) // 2 - g.num_edges
+    table = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
+    available = _available(table, g)
     if count > available:
         raise ValueError(
             f"requested {count} negatives but only {available} non-edges "
             f"exist between nodes of positive degree")
-    stub = np.repeat(np.arange(n, dtype=np.int64), deg)
-
-    def draw(rng, size):
-        return stub[rng.integers(0, total, size=(size, 2), dtype=np.int64)]
-
-    return _rejection_sample(draw, g, count, seed)
+    return _rejection_sample(table, g, count, seed)
 
 
 _SAMPLERS = {

@@ -10,6 +10,7 @@ from conftest import neighbors
 from linkbench import (EdgeListParseError, MethodSpec, build_graph,
                        generate_price, read_edge_list, score_method,
                        write_edge_list)
+from linkbench.graph import _pair_keys
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -201,8 +202,9 @@ def test_has_edges_matches_edge_set():
 def reference_has_edges(g, pairs):
     """has_edges before it sorted its queries: one binary search per pair,
     in query order, over the sorted edge keys."""
-    edges = g.pair_keys(g.edge_array())
-    keys = g.pair_keys(pairs)
+    n = g.num_nodes
+    edges = _pair_keys(g.edge_array(), n)
+    keys = _pair_keys(pairs, n)
     pos = np.searchsorted(edges, keys)
     hit = pos < edges.size
     hit[hit] = edges[pos[hit]] == keys[hit]

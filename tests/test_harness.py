@@ -199,6 +199,21 @@ def test_benchmark_isolates_failing_graph(tmp_path):
     assert good_mixed == good_alone
 
 
+def test_empty_split_gives_one_auc_error_row_per_cell():
+    # generate_price(3, 1) has 2 edges, so beta 0.25 holds out round(0.5)
+    # = 0 positives and samples 0 negatives; auc_roc then fails each cell
+    config = BenchmarkConfig(graphs=(price_source("tiny", n=3, m=1),),
+                             methods=(MethodSpec("pa"), MethodSpec("cn")),
+                             repeats=2, master_seed=3)
+    result = run_evaluation(config)
+    cells = {(r.method, r.sampler, r.repeat) for r in result["rows"]}
+    assert len(cells) == len(result["rows"]) == 2 * 2 * 2
+    assert {(r.metric, r.value) for r in result["rows"]} == {
+        ("error", "auc_roc needs at least one positive and one negative "
+                  "score")}
+    assert result["summary"]["rankings"] == {}
+
+
 def test_evaluate_both_tasks_isolates_failing_graph(tmp_path):
     # K8 recommends fine but fails every link-prediction cell, so only the
     # recommendation report ranks it; rbo compares the graphs both rank

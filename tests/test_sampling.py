@@ -1,12 +1,11 @@
 import collections
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from linkbench import (SaturationError, build_graph, endpoint_degree_histogram,
                        generate_price, make_split, sample_negative_degree_corrected,
-                       sample_negative_uniform, sampling, split_positive)
+                       sample_negative_uniform, split_positive)
 from linkbench.graph import _pair_keys
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
@@ -148,11 +147,15 @@ def reference_rejection_sample(draw, g, count, seed):
     return np.asarray(accepted, dtype=np.int64)
 
 
-def reference_sample(fn, g, count, seed):
-    """fn's negatives with the reference loop doing the acceptance."""
-    with mock.patch.object(sampling, "_rejection_sample",
-                           reference_rejection_sample):
-        return fn(g, count, seed)
+def reference_uniform_draw(g):
+    """The uniform endpoint draw before the endpoint table: node ids drawn
+    directly."""
+    n = g.num_nodes
+
+    def draw(rng, size):
+        return rng.integers(0, n, size=(size, 2), dtype=np.int64)
+
+    return draw
 
 
 def reference_degree_corrected_draw(g):
@@ -168,34 +171,33 @@ def reference_degree_corrected_draw(g):
     return draw
 
 
-def degree_corrected_draw(g):
-    """The draw that sample_negative_degree_corrected hands to the
-    rejection loop."""
-    draws = []
-    with mock.patch.object(sampling, "_rejection_sample",
-                           lambda draw, *args: draws.append(draw)):
-        sample_negative_degree_corrected(g, 1, 0)
-    return draws[0]
+def reference_sample(fn, g, count, seed):
+    """fn's negatives from the reference loop fed the endpoint draw fn used
+    before it drew from an endpoint table. Raises ValueError when fewer
+    than count pairs are allowed: non-edges, and for the degree-corrected
+    sampler non-edges between nodes of positive degree."""
+    uniform = fn is sample_negative_uniform
+    d = g.num_nodes if uniform else int(np.count_nonzero(g.degrees))
+    if count > d * (d - 1) // 2 - g.num_edges:
+        raise ValueError("too few allowed pairs")
+    draw = (reference_uniform_draw if uniform
+            else reference_degree_corrected_draw)(g)
+    return reference_rejection_sample(draw, g, count, seed)
 
 
 def test_degree_corrected_draw_equals_cumulative_search():
-    # isolated ids first, last and in between, a star, and a Price graph
+    # isolated ids first, last and in between, a star, and a Price graph:
+    # the stub table gives the negatives of the cumulative search
     gapped = build_graph([(1, 2), (2, 3), (3, 5), (1, 5), (5, 6)],
                          num_nodes=9)
     star = build_graph([(0, j) for j in range(1, 9)])
-    for g in (gapped, star, generate_price(2000, 3, seed=4)):
-        got = degree_corrected_draw(g)
+    for g, count in ((gapped, 5), (star, 28), (generate_price(2000, 3, 4), 900)):
         want = reference_degree_corrected_draw(g)
-        for seed in (0, 1):
-            ids = got(np.random.default_rng(seed), 20_000)
-            assert ids.dtype == np.int64
-            assert np.array_equal(ids, want(np.random.default_rng(seed),
-                                            20_000))
-        count = 3 if g is gapped else 5
-        for seed in (0, 7):
-            assert np.array_equal(
-                sample_negative_degree_corrected(g, count, seed),
-                sampling._rejection_sample(want, g, count, seed))
+        for seed in (0, 1, 7):
+            for k in (1, count // 2, count):
+                assert np.array_equal(
+                    sample_negative_degree_corrected(g, k, seed),
+                    reference_rejection_sample(want, g, k, seed))
 
 
 SAMPLER_FNS = (sample_negative_uniform, sample_negative_degree_corrected)
@@ -209,6 +211,14 @@ def test_negatives_equal_reference_loop(fn):
         g = random_graph(n, m, seed)
         got = fn(g, count, seed=seed + 7)
         assert np.array_equal(got, reference_sample(fn, g, count, seed + 7))
+    # isolated ids first, last and in between
+    ids = np.setdiff1d(np.arange(1, 199), np.arange(80, 120))
+    pairs = ids[np.random.default_rng(5).integers(0, ids.size, (600, 2))]
+    g = build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes=200)
+    assert g.degrees[[0, 100, 199]].sum() == 0
+    for seed in range(3):
+        got = fn(g, 400, seed)
+        assert np.array_equal(got, reference_sample(fn, g, 400, seed))
     # K_40 minus 30 edges: every non-edge is requested
     pairs = [(i, j) for i in range(40) for j in range(i + 1, 40)]
     missing = pairs[::26]
@@ -217,6 +227,29 @@ def test_negatives_equal_reference_loop(fn):
         got = fn(g, len(missing), seed)
         assert np.array_equal(got, reference_sample(fn, g, len(missing), seed))
         assert as_set(got) == set(missing)
+
+
+def test_sampler_error_texts():
+    # evaluate writes these texts into its error rows as "split failed: ..."
+    path = build_graph(PATH, num_nodes=4)
+    for fn, text in (
+            (sample_negative_uniform,
+             "requested 5 negatives but only 4 non-edges exist"),
+            (sample_negative_degree_corrected,
+             "requested 5 negatives but only 1 non-edges exist between "
+             "nodes of positive degree")):
+        with pytest.raises(ValueError) as info:
+            fn(path, 5, seed=0)
+        assert str(info.value) == text
+    with pytest.raises(ValueError) as info:
+        sample_negative_degree_corrected(build_graph([], num_nodes=4), 0, 0)
+    assert str(info.value) == "degree-corrected sampling needs at least one edge"
+
+
+@pytest.mark.parametrize("fn", SAMPLER_FNS)
+def test_zero_negatives_are_an_empty_pair_array(fn):
+    got = fn(build_graph(PATH), 0, seed=0)
+    assert got.shape == (0, 2) and got.dtype == np.int64
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "degree-corrected"])
