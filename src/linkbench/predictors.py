@@ -108,28 +108,42 @@ def _grid_chunks(rows, cost, budget):
         lo = hi
 
 
-def _overlap_sum(A, B, arr):
-    """sum_z A[i, z] * B[j, z] per pair (i, j).
+def _column_weighted(A, weights):
+    """A's pattern, in A's stored order, with data weights[column]."""
+    return sparse.csr_matrix((weights[A.indices], A.indices, A.indptr),
+                             shape=A.shape)
 
-    A chunk of pairs costs the entries of its rows, nnz(A[i]) + nnz(B[j])
-    per pair, cut by _budget_chunks; peak memory is O(budget + pairs),
-    whichever hubs a chunk draws. The row sum is scipy's: np.add.reduceat
-    over each row's products in ascending column order, which is neither a
-    running sum nor np.sum, so a rewrite must keep it to keep the bits. It
-    depends only on the row, so neither endpoint order nor chunk borders
-    move a result.
+
+def _common_sum(train, arr, weights):
+    """sum of weights[z] over the common neighbours z of each pair (i, j).
+
+    A chunk of pairs takes the intersections A[i].multiply(A[j]) of its
+    rows, deg(i) + deg(j) entries per pair cut by _budget_chunks, and puts
+    weights[z] on them, so peak memory is O(n + budget + pairs) words,
+    whichever hubs a chunk draws. Terms exactly 0 are dropped, and each
+    row is summed by scipy's row sum: np.add.reduceat over its terms in
+    ascending z, which is neither a running sum nor np.sum, and whose
+    pairwise blocks shift when a 0.0 term stays. Neither endpoint order
+    nor chunk borders move a result.
     """
-    cost = np.diff(A.indptr)[arr[:, 0]] + np.diff(B.indptr)[arr[:, 1]]
+    A = train.to_scipy_csr()
+    deg = train.degrees
     out = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in _budget_chunks(cost):
-        rows = A[arr[lo:hi, 0]].multiply(B[arr[lo:hi, 1]])
-        out[lo:hi] = np.asarray(rows.sum(axis=1)).ravel()
+    for lo, hi in _budget_chunks(deg[arr[:, 0]] + deg[arr[:, 1]]):
+        common = A[arr[lo:hi, 0]].multiply(A[arr[lo:hi, 1]])
+        terms = _column_weighted(common, weights)
+        terms.eliminate_zeros()
+        out[lo:hi] = np.asarray(terms.sum(axis=1)).ravel()
     return out
 
 
-def _score_cn(train, arr, spec):
-    A = train.to_scipy_csr()
-    return _overlap_sum(A, A, arr)
+# method -> the weight w[z] that a common neighbour z adds, from the
+# degrees; adamic_adar weighs degree <= 1 by 0, as ln(1) = 0
+_CN_WEIGHTS = {
+    "cn": lambda deg: np.ones(deg.size),
+    "adamic_adar": lambda deg: _reciprocal(np.log(np.maximum(deg, 1))),
+    "resource_alloc": _reciprocal,
+}
 
 
 def _jaccard(cn, deg_a, deg_b):
@@ -141,28 +155,12 @@ def _jaccard(cn, deg_a, deg_b):
     return out
 
 
-def _score_jaccard(train, arr, spec):
-    deg = train.degrees.astype(np.float64)
-    return _jaccard(_score_cn(train, arr, spec), deg[arr[:, 0]], deg[arr[:, 1]])
-
-
-def _column_weighted(A, weights):
-    return sparse.csr_matrix(A.multiply(weights[np.newaxis, :]))
-
-
-def _score_weighted_cn(train, arr, weights):
-    A = train.to_scipy_csr()
-    return _overlap_sum(A, _column_weighted(A, weights), arr)
-
-
-def _score_adamic_adar(train, arr, spec):
-    # degree <= 1 nodes weigh 0: ln(1) = 0, and they carry no signal anyway
-    w = _reciprocal(np.log(np.maximum(train.degrees, 1)))
-    return _score_weighted_cn(train, arr, w)
-
-
-def _score_resource_alloc(train, arr, spec):
-    return _score_weighted_cn(train, arr, _reciprocal(train.degrees))
+def _score_common(train, arr, spec):
+    deg = train.degrees
+    if spec.method != "jaccard":
+        return _common_sum(train, arr, _CN_WEIGHTS[spec.method](deg))
+    cn = _common_sum(train, arr, _CN_WEIGHTS["cn"](deg))
+    return _jaccard(cn, deg[arr[:, 0]], deg[arr[:, 1]])
 
 
 def _gather_entries(Z, rows, cols, slot, buf):
@@ -384,18 +382,17 @@ def _block_pa(train, lo, hi, spec):
 
 def _block_cn(train, lo, hi, spec):
     A = train.to_scipy_csr()
-    return (A[lo:hi] @ A).toarray()
-
-
-def _block_jaccard(train, lo, hi, spec):
-    deg = train.degrees.astype(np.float64)
-    return _jaccard(_block_cn(train, lo, hi, spec), deg[lo:hi, None], deg[None, :])
+    cn = (A[lo:hi] @ A).toarray()
+    if spec.method == "cn":
+        return cn
+    deg = train.degrees
+    return _jaccard(cn, deg[lo:hi, None], deg[None, :])
 
 
 def _block_on_support(train, lo, hi, spec):
     """Block form that scores only the pairs with a common neighbour, the
-    nonzeros of A[lo:hi] @ A, with the pair kernel of spec.method; every
-    other score of a common-neighbour sum is exactly 0.
+    nonzeros of A[lo:hi] @ A, with the pair kernel _common_sum; every other
+    score of a common-neighbour sum is exactly 0.
 
     A weighted product A[lo:hi] @ (A diag(w)) would sum in another order and
     move scores by a few ulp, so the pair kernel keeps the numbers.
@@ -452,10 +449,10 @@ def _block_lrw(train, lo, hi, spec):
 # method -> (pair kernel, block form), equal bit for bit
 _FORMS = {
     "pa": (_score_pa, _block_pa),
-    "cn": (_score_cn, _block_cn),
-    "jaccard": (_score_jaccard, _block_jaccard),
-    "adamic_adar": (_score_adamic_adar, _block_on_support),
-    "resource_alloc": (_score_resource_alloc, _block_on_support),
+    "cn": (_score_common, _block_cn),
+    "jaccard": (_score_common, _block_cn),
+    "adamic_adar": (_score_common, _block_on_support),
+    "resource_alloc": (_score_common, _block_on_support),
     "lpi": (_score_lpi, _block_lpi),
     "shortest_path": (_score_shortest_path, _block_shortest_path),
     "lrw": (_score_lrw, _block_lrw),
@@ -473,8 +470,8 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     """Scores of ``spec.method`` for an (m, 2) pair array on the train graph.
 
     The common-neighbour family (cn, jaccard, adamic_adar, resource_alloc)
-    builds sparse rows for chunks of pairs, so its peak memory is
-    O(_CHUNK_BUDGET + pairs) entries, whichever hubs a chunk draws. lpi
+    intersects sparse rows for chunks of pairs, with no copy of A, in
+    O(n + _CHUNK_BUDGET + pairs) words, whichever hubs a chunk draws. lpi
     builds one A^2 row per distinct higher-degree endpoint, for chunks of
     those endpoints, and reads each pair's entries from them through a
     lookup buffer that an n-sized array keys by compact column; its peak
@@ -497,10 +494,10 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
     bit-identical to score_method on the block's row-major pair list,
     reshaped, but no pair list is built except for adamic_adar and
     resource_alloc, which score only their support (the nonzeros of
-    A[lo:hi] @ A) in pair chunks of at most _CHUNK_BUDGET row entries. Peak
-    memory is O((hi - lo) * n), plus O(n * b) floats for lrw's walk of
-    b = max(16, min(256, 2e7 // n)) columns at a time, the support of
-    A[lo:hi] @ A, and for shortest_path a BFS level gather of at most
+    A[lo:hi] @ A) with _common_sum. Peak memory is O((hi - lo) * n), plus
+    O(n * b) floats for lrw's walk of b = max(16, min(256, 2e7 // n))
+    columns at a time, the support with _common_sum's O(n + _CHUNK_BUDGET)
+    words, and for shortest_path a BFS level gather of at most
     max(_CHUNK_BUDGET, nnz) words with level arrays n / nnz its size.
 
     Raises ValueError unless 0 <= lo <= hi <= n, and ArithmeticError if the

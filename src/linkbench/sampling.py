@@ -91,12 +91,15 @@ def _rejection_sample(table, g: Graph, count: int, seed) -> np.ndarray:
         attempts += size
         prop = table[rng.integers(0, table.size, size=(size, 2))]
         keys = _pair_keys(prop[prop[:, 0] != prop[:, 1]], n)
-        order = np.argsort(keys, kind="stable")
+        if keys.size == 0:  # reduceat below takes no empty starts
+            continue
+        order = np.argsort(keys)
         ranked = keys[order]
-        first = np.ones(ranked.size, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        first &= ~g._has_sorted_keys(ranked) & ~np.isin(ranked, accepted)
-        fresh = keys[np.sort(order[first])][:count - accepted.size]
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        earliest = np.minimum.reduceat(order, starts)  # the sort is unstable
+        ranked = ranked[starts]
+        keep = ~g._has_sorted_keys(ranked) & ~np.isin(ranked, accepted)
+        fresh = keys[np.sort(earliest[keep])][:count - accepted.size]
         accepted = np.concatenate([accepted, fresh])
     return _decode_keys(accepted, n)
 

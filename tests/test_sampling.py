@@ -5,7 +5,7 @@ import pytest
 
 from linkbench import (SaturationError, build_graph, endpoint_degree_histogram,
                        generate_price, make_split, sample_negative_degree_corrected,
-                       sample_negative_uniform, split_positive)
+                       sample_negative_uniform, sampling, split_positive)
 from linkbench.graph import _pair_keys
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
@@ -82,6 +82,13 @@ def test_uniform_negative_rejection_budget_saturates():
     g = build_graph(pairs, num_nodes=500)
     with pytest.raises(SaturationError):
         sample_negative_uniform(g, 1, seed=0)
+
+
+def test_batches_of_self_pairs_only_saturate():
+    # a table of one id proposes only self-pairs, so no batch holds a key
+    g = build_graph([], num_nodes=3)
+    with pytest.raises(SaturationError):
+        sampling._rejection_sample(np.zeros(4, dtype=np.int64), g, 1, seed=0)
 
 
 def test_degree_corrected_unique_non_edge():
