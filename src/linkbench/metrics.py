@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .graph import _as_pair_array, sorted_unique
+from .graph import _as_pair_array, _is_number, sorted_unique
 from .predictors import MethodSpec, score_block
 # kept as metrics.score_method: bench/tracer.py wraps that name
 from .predictors import score_method  # noqa: F401
@@ -42,19 +43,19 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     Returns one int64 array per node: items[i] holds candidate ids for
     source i, best first, and has length min(top_c, n - 1 - deg i).
     Candidates never include i itself or its train neighbours, and ties are
-    broken by ascending node id. Each block of sources is scored against
-    all n nodes as one (block, n) matrix by score_block, which builds no
-    pair list; self and neighbour entries are then masked to +inf in the
-    negated scores, and one stable argsort per block orders the rest.
+    broken by ascending node id. score_block scores each block of sources
+    against all n nodes as one (block, n) matrix, with no (block, n) pair
+    list; self and neighbour entries are then masked to +inf in the negated
+    scores, and one stable argsort per block orders the rest.
 
     Peak memory is O(block * n) for the scores and their argsort, plus
     O(n * b) floats for lrw's walk of b = max(16, min(256, 2e7 // n))
-    columns at a time, and the support of A[blk] @ A for adamic_adar and
-    resource_alloc. The top-C columns are copied out, so the result holds
-    O(n * top_c) ids.
+    columns at a time, and the support of A[blk] @ A for cn, jaccard,
+    adamic_adar and resource_alloc. The top-C columns are copied out, so
+    the result holds O(n * top_c) ids.
     """
-    if top_c < 1:
-        raise ValueError("top_c must be >= 1")
+    if not _is_number(top_c, numbers.Integral) or top_c < 1:
+        raise ValueError(f"top_c must be an integer >= 1, got {top_c!r}")
     n = train.num_nodes
     deg = train.degrees
     items: list = []
@@ -80,8 +81,8 @@ def vcmpr_per_node(items: list, positives, top_c: int) -> list:
     hits / partners, and vcmpr is the larger of the two. Positives name
     node ids in [0, len(items)); any other id raises ValueError.
     """
-    if top_c < 1:
-        raise ValueError("top_c must be >= 1")
+    if not _is_number(top_c, numbers.Integral) or top_c < 1:
+        raise ValueError(f"top_c must be an integer >= 1, got {top_c!r}")
     pos = _as_pair_array(positives, len(items))
     if pos.size == 0:
         raise ValueError("no node has a held-out positive partner")

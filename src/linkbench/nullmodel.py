@@ -18,6 +18,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
+from .graph import _is_number
+
 
 @dataclass(frozen=True)
 class LogNormalFit:
@@ -57,9 +59,10 @@ def size_biased_law(fit: LogNormalFit) -> LogNormalFit:
 
 
 def expected_pa_auc_closed_form(sigma: float) -> float:
-    """Phi(sigma): the closed form of the degree-product AUC."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    """Phi(sigma): the closed form of the degree-product AUC. sigma must be
+    a finite real number >= 0, else ValueError."""
+    if not _is_number(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
     return float(ndtr(sigma))
 
 
@@ -71,10 +74,9 @@ def expected_pa_auc(sigma: float) -> float:
     form Phi(sigma); disagreement beyond 1e-6 raises, since it would mean
     the quadrature went wrong.
 
-    sigma = 0 returns exactly 0.5.
+    sigma = 0 returns exactly 0.5, and sigma is checked as in the closed form.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    closed = expected_pa_auc_closed_form(sigma)  # checks sigma
     if sigma == 0:
         return 0.5
     shift = math.sqrt(2.0) * sigma
@@ -84,7 +86,6 @@ def expected_pa_auc(sigma: float) -> float:
 
     val, _ = integrate.quad(integrand, -10.0, 10.0 + shift, epsabs=1e-8, limit=200)
     auc = 1.0 - val
-    closed = expected_pa_auc_closed_form(sigma)
     if abs(auc - closed) >= 1e-6:
         raise ArithmeticError(
             f"quadrature AUC {auc!r} disagrees with closed form {closed!r}")

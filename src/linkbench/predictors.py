@@ -140,27 +140,27 @@ def _common_sum(train, arr, weights):
 # method -> the weight w[z] that a common neighbour z adds, from the
 # degrees; adamic_adar weighs degree <= 1 by 0, as ln(1) = 0
 _CN_WEIGHTS = {
-    "cn": lambda deg: np.ones(deg.size),
     "adamic_adar": lambda deg: _reciprocal(np.log(np.maximum(deg, 1))),
     "resource_alloc": _reciprocal,
 }
 
 
-def _jaccard(cn, deg_a, deg_b):
-    """cn over the union size deg_a + deg_b - cn, and 0 where the union is
-    empty; broadcasts."""
-    union = deg_a + deg_b - cn
+def _score_common(train, arr, spec, cn=None):
+    """cn counts common neighbours, jaccard divides them by the union size
+    (0 where it is empty), and the others sum _CN_WEIGHTS over them. Given
+    the counts cn (exact integers, as _common_sum's), cn and jaccard read
+    them instead of a _common_sum pass."""
+    deg = train.degrees
+    if spec.method in _CN_WEIGHTS:
+        return _common_sum(train, arr, _CN_WEIGHTS[spec.method](deg))
+    if cn is None:
+        cn = _common_sum(train, arr, np.ones(deg.size))
+    if spec.method == "cn":
+        return cn
+    union = deg[arr[:, 0]] + deg[arr[:, 1]] - cn
     out = np.zeros_like(cn)
     np.divide(cn, union, out=out, where=union > 0)
     return out
-
-
-def _score_common(train, arr, spec):
-    deg = train.degrees
-    if spec.method != "jaccard":
-        return _common_sum(train, arr, _CN_WEIGHTS[spec.method](deg))
-    cn = _common_sum(train, arr, _CN_WEIGHTS["cn"](deg))
-    return _jaccard(cn, deg[arr[:, 0]], deg[arr[:, 1]])
 
 
 def _gather_entries(Z, rows, cols, slot, buf):
@@ -380,30 +380,17 @@ def _block_pa(train, lo, hi, spec):
     return np.multiply.outer(deg[lo:hi], deg).astype(np.float64)
 
 
-def _block_cn(train, lo, hi, spec):
+def _block_common(train, lo, hi, spec):
+    """Block form of the common-neighbour family: the pair kernel scores the
+    support, the nonzeros S of A[lo:hi] @ A, with S's entries as the counts
+    cn (a weighted product would sum adamic_adar and resource_alloc in
+    another order), and every other score is exactly 0. Peak memory is one
+    (hi - lo, n) float64 array plus O(support + n + _CHUNK_BUDGET) words."""
     A = train.to_scipy_csr()
-    cn = (A[lo:hi] @ A).toarray()
-    if spec.method == "cn":
-        return cn
-    deg = train.degrees
-    return _jaccard(cn, deg[lo:hi, None], deg[None, :])
-
-
-def _block_on_support(train, lo, hi, spec):
-    """Block form that scores only the pairs with a common neighbour, the
-    nonzeros of A[lo:hi] @ A, with the pair kernel _common_sum; every other
-    score of a common-neighbour sum is exactly 0.
-
-    A weighted product A[lo:hi] @ (A diag(w)) would sum in another order and
-    move scores by a few ulp, so the pair kernel keeps the numbers.
-    """
-    A = train.to_scipy_csr()
-    support = (A[lo:hi] @ A).tocoo()
-    rows = support.row.astype(np.int64)
-    cols = support.col.astype(np.int64)
+    S = (A[lo:hi] @ A).tocoo()
     out = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
-    pairs = np.stack([rows + lo, cols], axis=1)
-    out[rows, cols] = _FORMS[spec.method][0](train, pairs, spec)
+    pairs = np.stack([S.row + lo, S.col], axis=1).astype(np.int64)
+    out[S.row, S.col] = _FORMS[spec.method][0](train, pairs, spec, S.data)
     return out
 
 
@@ -449,10 +436,10 @@ def _block_lrw(train, lo, hi, spec):
 # method -> (pair kernel, block form), equal bit for bit
 _FORMS = {
     "pa": (_score_pa, _block_pa),
-    "cn": (_score_common, _block_cn),
-    "jaccard": (_score_common, _block_cn),
-    "adamic_adar": (_score_common, _block_on_support),
-    "resource_alloc": (_score_common, _block_on_support),
+    "cn": (_score_common, _block_common),
+    "jaccard": (_score_common, _block_common),
+    "adamic_adar": (_score_common, _block_common),
+    "resource_alloc": (_score_common, _block_common),
     "lpi": (_score_lpi, _block_lpi),
     "shortest_path": (_score_shortest_path, _block_shortest_path),
     "lrw": (_score_lrw, _block_lrw),
@@ -492,17 +479,20 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
 
     Row r, column j holds the score of the pair (lo + r, j): the result is
     bit-identical to score_method on the block's row-major pair list,
-    reshaped, but no pair list is built except for adamic_adar and
-    resource_alloc, which score only their support (the nonzeros of
-    A[lo:hi] @ A) with _common_sum. Peak memory is O((hi - lo) * n), plus
-    O(n * b) floats for lrw's walk of b = max(16, min(256, 2e7 // n))
-    columns at a time, the support with _common_sum's O(n + _CHUNK_BUDGET)
-    words, and for shortest_path a BFS level gather of at most
-    max(_CHUNK_BUDGET, nnz) words with level arrays n / nnz its size.
+    reshaped, but no such list is built: the common-neighbour family scores
+    only its support, the nonzeros of A[lo:hi] @ A. Peak memory is
+    O((hi - lo) * n), plus O(n * b) floats for lrw's walk of b = max(16,
+    min(256, 2e7 // n)) columns at a time, O(support + n + _CHUNK_BUDGET)
+    words for the common-neighbour family, and for shortest_path a BFS
+    level gather of at most max(_CHUNK_BUDGET, nnz) words with level
+    arrays n / nnz its size.
 
-    Raises ValueError unless 0 <= lo <= hi <= n, and ArithmeticError if the
-    block holds a non-finite score.
+    Raises ValueError unless lo and hi are integers with 0 <= lo <= hi <=
+    n, and ArithmeticError if the block holds a non-finite score.
     """
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not _is_number(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     n = train.num_nodes
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"source block [{lo}, {hi}) out of range for the "

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,27 +129,34 @@ def test_top_c_items_hold_only_top_c_ids():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_top_c_scores_without_pair_lists(monkeypatch, method):
-    # count every pair that reaches a pair scorer; the block forms build
-    # none, and adamic_adar and resource_alloc score only their support
+    # count every pair that reaches a pair scorer, and every pass of the
+    # common-neighbour kernel: the block forms build no (block, n) pair
+    # list, the common-neighbour family scores only its support, and cn
+    # and jaccard read their counts off it with no kernel pass
     g = random_graph(600, 0.02, seed=5)
     seen = []
+    passes = []
 
-    def counting(fn):
+    def counting(fn, log):
         def wrapped(train, pairs, *args, **kwargs):
-            seen.append(len(pairs))
+            log.append(len(pairs))
             return fn(train, pairs, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(metrics, "score_method",
-                        counting(metrics.score_method))
+                        counting(metrics.score_method, seen))
     for name, (kernel, block) in list(predictors._FORMS.items()):
-        monkeypatch.setitem(predictors._FORMS, name, (counting(kernel), block))
+        monkeypatch.setitem(predictors._FORMS, name,
+                            (counting(kernel, seen), block))
+    monkeypatch.setattr(predictors, "_common_sum",
+                        counting(predictors._common_sum, passes))
     assert len(top_c_recommend(g, MethodSpec(method), top_c=5)) == 600
     A = g.to_scipy_csr()
-    if method in ("adamic_adar", "resource_alloc"):
+    if method in ("cn", "jaccard", "adamic_adar", "resource_alloc"):
         assert 0 < sum(seen) <= (A @ A).nnz
     else:
         assert sum(seen) == 0
+    assert (len(passes) > 0) == (method in ("adamic_adar", "resource_alloc"))
 
 
 def reference_vcmpr_per_node(items, positives, top_c):
@@ -244,6 +252,19 @@ def test_vcmpr_requires_positives():
     recs = top_c_recommend(g, MethodSpec("cn"), top_c=2)
     with pytest.raises(ValueError):
         vcmpr_at_c(recs, [], top_c=2)
+
+
+@pytest.mark.parametrize("top_c", [0, -1, True, False, 2.5, 2.0, "2", None])
+def test_top_c_must_be_an_integer_of_at_least_one(top_c):
+    # a bool is not a count, and a float is not taken as one
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    recs = top_c_recommend(g, MethodSpec("cn"), top_c=2)
+    message = re.escape(f"top_c must be an integer >= 1, got {top_c!r}")
+    with pytest.raises(ValueError, match=message):
+        top_c_recommend(g, MethodSpec("cn"), top_c)
+    with pytest.raises(ValueError, match=message):
+        vcmpr_per_node(recs, [(0, 2)], top_c)
+    assert len(top_c_recommend(g, MethodSpec("cn"), np.int64(2))[0]) == 2
 
 
 def rbo_reference(a, b, p):

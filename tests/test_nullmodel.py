@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -129,3 +130,19 @@ def test_expected_auc_strictly_increasing_and_bounded():
 def test_expected_auc_rejects_negative_sigma():
     with pytest.raises(ValueError):
         expected_pa_auc(-0.1)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -math.inf,
+                                   True, False, "1.0", None, 1j])
+@pytest.mark.parametrize("fn", [expected_pa_auc, expected_pa_auc_closed_form])
+def test_expected_auc_rejects_sigma_that_is_not_a_finite_real(fn, sigma):
+    # not a quadrature of nan nor a bool taken as 0 or 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"sigma must be a finite number >= 0, got {sigma!r}")):
+        fn(sigma)
+
+
+def test_expected_auc_takes_numpy_and_integer_sigma():
+    assert expected_pa_auc(np.float64(1.0)) == expected_pa_auc(1.0)
+    assert expected_pa_auc_closed_form(np.float32(0.0)) == 0.5
+    assert expected_pa_auc(0) == 0.5

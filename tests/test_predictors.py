@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,15 @@ def test_pairs_out_of_range_rejected():
     for lo, hi in [(-1, 1), (0, 3), (2, 1)]:
         with pytest.raises(ValueError, match="out of range"):
             predictors.score_block(g, lo, hi, MethodSpec("cn"))
+    # a bool or a float is not taken as a node id
+    for lo, hi, bad in [(True, 2, "lo"), (0, True, "hi"), (0.0, 2, "lo"),
+                        (0, 1.5, "hi"), ("0", 2, "lo"), (0, None, "hi")]:
+        value = lo if bad == "lo" else hi
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad} must be an integer, got {value!r}")):
+            predictors.score_block(g, lo, hi, MethodSpec("cn"))
+    assert predictors.score_block(g, np.int64(0), np.int32(2),
+                                  MethodSpec("cn")).shape == (2, 2)
 
 
 def block_pairs(lo, hi, n):
@@ -547,6 +557,71 @@ def test_common_neighbour_peak_memory_within_its_stated_bound(method,
         tracemalloc.stop()
     words = 16 * (g.num_nodes + pairs.shape[0]) + 2 * predictors._CHUNK_BUDGET
     assert peak <= 8 * words, (peak, 8 * words)
+
+
+@pytest.mark.parametrize("method", ["cn", "jaccard", "adamic_adar",
+                                    "resource_alloc"])
+def test_common_neighbour_block_peak_memory_within_its_stated_bound(
+        method, monkeypatch):
+    # _block_common's one (block, n) float64 array plus O(support + n +
+    # _CHUNK_BUDGET) words, as traced numpy and scipy arrays, on the hub
+    # block of a degree-corrected train graph. The bound is 43.9 MiB, and
+    # three dense (block, n) arrays, as a dense jaccard needs, take 61 MiB
+    g = generate_price(5000, 5, seed=2)
+    train = make_split(g, 0.25, "degree-corrected", 5).train
+    A = train.to_scipy_csr()  # the cached matrix is the graph's
+    lo, hi = 0, 512
+    support = (A[lo:hi] @ A).nnz
+    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1 << 14)
+    tracemalloc.start()
+    try:
+        predictors.score_block(train, lo, hi, MethodSpec(method))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = ((hi - lo) * g.num_nodes + 16 * (support + g.num_nodes)
+             + 2 * predictors._CHUNK_BUDGET)
+    assert peak <= 8 * words, (peak, 8 * words)
+
+
+@pytest.mark.parametrize("m, sources", [(5, 64), (5, 320), (40, 128)])
+def test_bfs_level_gather_peak_memory_within_its_stated_bound(m, sources):
+    # _bfs_levels' O((n + nnz) * S / 64) words for S sources, as traced
+    # numpy arrays, with each level dropped before the next; levels held
+    # as one bool per source would take 8 times the words
+    g = generate_price(5000, m, seed=2)
+    A = g.to_scipy_csr()
+    picked = np.random.default_rng(0).choice(g.num_nodes, sources,
+                                             replace=False)
+    tracemalloc.start()
+    try:
+        for _, words in predictors._bfs_levels(A, picked):
+            del words
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 3 * (g.num_nodes + A.nnz) * -(-sources // 64)
+    assert peak <= 8 * bound, (peak, 8 * bound)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_lrw_column_walk_peak_memory_within_its_stated_bound(steps):
+    # _walk_columns' O(n * b) floats for b = max(16, min(256, 2e7 // n)),
+    # as traced numpy and scipy arrays, when the caller drops each batch;
+    # at n = 5,000 all n columns at once would take 19.5 * n * b floats
+    g = generate_price(5000, 5, seed=2)
+    _, PT = predictors._lrw_operators(g)
+    n = g.num_nodes
+    b = max(16, min(256, int(2e7 // n)))
+    tracemalloc.start()
+    try:
+        for lo, hi, cols in predictors._walk_columns(PT, np.arange(n), steps):
+            assert cols.shape == (n, hi - lo) and hi - lo <= b
+            del cols
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 4 * n * b, (peak, 8 * 4 * n * b)
 
 
 def reference_walk_columns(PT, nodes, walk_steps):
