@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _is_number, build_graph
+from .graph import _MAX_NODES, Graph, _is_number, build_graph
 
 
 class GenerationError(RuntimeError):
@@ -74,6 +74,8 @@ def generate_price(n: int, m_per_node: int, seed) -> Graph:
         raise ValueError("m_per_node must be >= 1")
     if n < m + 1:
         raise ValueError("n must be at least m_per_node + 1")
+    if n > _MAX_NODES:  # before the (n * m, 2) edge array is allocated
+        raise ValueError(f"n must be at most {_MAX_NODES}, got {n}")
     rng = np.random.default_rng(seed)
 
     num_edges = n * m - m * (m + 1) // 2
@@ -325,8 +327,8 @@ class LfrParams:
     max_comm: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= _MAX_NODES:
+            raise ValueError(f"n must be in [1, {_MAX_NODES}], got {self.n}")
         if self.tau1 <= 1 or self.tau2 <= 1:
             raise ValueError("tau1 and tau2 must be > 1")
         if not 0 <= self.mu <= 1:

@@ -66,41 +66,22 @@ def _score_pa(train, arr, spec) -> np.ndarray:
     return (deg[arr[:, 0]] * deg[arr[:, 1]]).astype(np.float64)
 
 
-def _chunks(total, step):
-    for lo in range(0, total, step):
-        yield lo, min(lo + step, total)
-
-
-def _budget_chunks(cost, budget=None):
+def _chunks(cost, budget, rows=None):
     """Yield (lo, hi) slices that cut items 0..len(cost)-1 into consecutive
-    chunks. Item k costs cost[k] + 1, so free items still fill a chunk. A
-    chunk costs at most budget (_CHUNK_BUDGET if None), except that an item
-    over budget gets a chunk of its own, so a caller whose costs count the
-    entries an item builds holds O(budget + items) entries at a time."""
-    budget = _CHUNK_BUDGET if budget is None else budget
-    ends = np.cumsum(np.asarray(cost, dtype=np.int64) + 1)
-    lo = 0
-    while lo < ends.size:
-        spent = ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(ends, spent + budget, side="right"))
-        hi = max(hi, lo + 1)
-        yield lo, hi
-        lo = hi
-
-
-def _grid_chunks(rows, cost, budget):
-    """Yield (lo, hi) slices that cut items 0..len(cost)-1 into consecutive
-    chunks, where item k sits on row rows[k] (non-decreasing) and takes
-    cost[k] >= 1 columns. A chunk's grid, the rows it spans times the
-    columns its items take, holds at most budget cells, except that an item
-    over budget gets a chunk of its own."""
+    chunks. Item k takes cost[k] >= 1 cells on row rows[k] (non-decreasing;
+    None puts every item on one row). A chunk's grid, the rows it spans
+    times the cells its items take, holds at most budget cells, except that
+    an item over budget gets a chunk of its own. So a caller whose cost
+    counts the entries an item builds, plus 1 where that can be 0, holds
+    O(budget + items) entries at a time, whichever items a chunk draws."""
     ends = np.cumsum(cost)
     lo = 0
     while lo < ends.size:
         spent = ends[lo - 1] if lo else 0
 
         def cells(k):  # of the chunk lo..k
-            return (rows[k] - rows[lo] + 1) * (ends[k] - spent)
+            span = 1 if rows is None else rows[k] - rows[lo] + 1
+            return span * (ends[k] - spent)
 
         hi = bisect.bisect_right(range(ends.size), budget, lo=lo, key=cells)
         hi = max(hi, lo + 1)
@@ -118,7 +99,7 @@ def _common_sum(train, arr, weights):
     """sum of weights[z] over the common neighbours z of each pair (i, j).
 
     A chunk of pairs takes the intersections A[i].multiply(A[j]) of its
-    rows, deg(i) + deg(j) entries per pair cut by _budget_chunks, and puts
+    rows, deg(i) + deg(j) entries per pair cut by _chunks, and puts
     weights[z] on them, so peak memory is O(n + budget + pairs) words,
     whichever hubs a chunk draws. Terms exactly 0 are dropped, and each
     row is summed by scipy's row sum: np.add.reduceat over its terms in
@@ -129,7 +110,8 @@ def _common_sum(train, arr, weights):
     A = train.to_scipy_csr()
     deg = train.degrees
     out = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in _budget_chunks(deg[arr[:, 0]] + deg[arr[:, 1]]):
+    cost = deg[arr[:, 0]] + deg[arr[:, 1]] + 1
+    for lo, hi in _chunks(cost, _CHUNK_BUDGET):
         common = A[arr[lo:hi, 0]].multiply(A[arr[lo:hi, 1]])
         terms = _column_weighted(common, weights)
         terms.eliminate_zeros()
@@ -199,7 +181,7 @@ def _score_lpi(train, arr, spec):
     bound a row's entries, add up to a quarter of _CHUNK_BUDGET. Sub-chunks
     of a chunk's pairs read their o and N(o) entries of Z through one
     lookup buffer (_gather_entries) of (rows spanned) x (ids read) cells,
-    cut to a quarter of _CHUNK_BUDGET by _grid_chunks.
+    cut to a quarter of _CHUNK_BUDGET by _chunks.
 
     Peak memory is O(n + pairs + _CHUNK_BUDGET) words, whichever hubs a
     chunk draws: a chunk or sub-chunk over budget holds one e or one pair,
@@ -227,12 +209,12 @@ def _score_lpi(train, arr, spec):
     walks = np.empty((2, e.size), dtype=np.int64)
     slot = np.full(train.num_nodes, -1, dtype=np.int64)
     buf = np.zeros(0, dtype=np.int64)
-    for g_lo, g_hi in _budget_chunks(vol2[e[heads[:-1]]], budget):
+    for g_lo, g_hi in _chunks(vol2[e[heads[:-1]]] + 1, budget):
         Z = A[e[heads[g_lo:g_hi]]] @ A
         part = slice(heads[g_lo], heads[g_hi])
         others, z_row, out = o[part], row[part] - g_lo, walks[:, part]
         reads = 1 + deg[others]
-        for lo, hi in _grid_chunks(z_row, reads, budget):
+        for lo, hi in _chunks(reads, budget, rows=z_row):
             # pair k reads o at first[k], then N(o) from A.indices; at[first]
             # would point before o's neighbours, so it reads entry 0 instead
             count = reads[lo:hi]
@@ -293,7 +275,7 @@ def _score_shortest_path(train, arr, spec):
     dist = np.zeros(arr.shape[0], dtype=np.float64)
     pairs = np.flatnonzero(arr[:, 0] != arr[:, 1])
     uniq, src_of = np.unique(arr[pairs, 0], return_inverse=True)
-    for lo, hi in _chunks(uniq.size, _bfs_batch(A)):
+    for lo, hi in _chunks(np.ones(uniq.size, dtype=np.int64), _bfs_batch(A)):
         sel = (src_of >= lo) & (src_of < hi)
         todo, k = pairs[sel], src_of[sel] - lo
         word, bit = k // 64, np.uint64(1) << (k % 64).astype(np.uint64)
@@ -335,7 +317,7 @@ def _walk_columns(PT, nodes, steps):
     # 0.24 s at the latter's 1,048 columns, and lp-price cells (n = 5,000,
     # 419 columns) 0.10 -> 0.10-0.12 s, best of 5
     batch = max(16, min(256, int(2e7 // max(n, 1))))
-    for lo, hi in _chunks(nodes.size, batch):
+    for lo, hi in _chunks(np.ones(nodes.size, dtype=np.int64), batch):
         b = hi - lo
         cols = sparse.csr_matrix((np.ones(b), (nodes[lo:hi], np.arange(b))),
                                  shape=(n, b))
@@ -351,7 +333,7 @@ def _last_step(PT, W, rows, cols):
     order as the dense product sums it; O(_CHUNK_BUDGET + k) entries."""
     out = np.empty(rows.size, dtype=np.float64)
     ones = np.ones(PT.shape[1])
-    for lo, hi in _budget_chunks(np.diff(PT.indptr)[rows]):
+    for lo, hi in _chunks(np.diff(PT.indptr)[rows] + 1, _CHUNK_BUDGET):
         R = PT[rows[lo:hi]]
         R.data *= W[R.indices, np.repeat(cols[lo:hi], np.diff(R.indptr))]
         out[lo:hi] = R @ ones
@@ -403,7 +385,8 @@ def _block_lpi(train, lo, hi, spec):
 def _block_shortest_path(train, lo, hi, spec):
     A = train.to_scipy_csr()
     dist = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
-    for b_lo, b_hi in _chunks(hi - lo, _bfs_batch(A)):
+    ones = np.ones(hi - lo, dtype=np.int64)
+    for b_lo, b_hi in _chunks(ones, _bfs_batch(A)):
         for d, words in _bfs_levels(A, np.arange(lo + b_lo, lo + b_hi)):
             octets = words.astype("<u8", copy=False).view(np.uint8)
             bits = np.unpackbits(octets, axis=1, count=b_hi - b_lo,

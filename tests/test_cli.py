@@ -12,22 +12,34 @@ from linkbench import (MethodSpec, build_graph, expected_pa_auc,
 from linkbench.cli import main
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "linkbench.cli", *args],
-                          capture_output=True, text=True)
+@pytest.fixture
+def run_cli(capsys):
+    """main(args) in this process, as a CompletedProcess: argparse's own
+    exits give their code, and stdout and stderr are what the call wrote."""
+    def run(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+    return run
 
 
 def test_generate_price_writes_edge_list(tmp_path):
+    # the one run through `python -m linkbench.cli`, the entry point itself
     out = tmp_path / "price.edges"
-    res = run_cli("generate", "price", "--n", "200", "--m", "3",
-                  "--seed", "5", "--out", str(out))
+    res = subprocess.run([sys.executable, "-m", "linkbench.cli", "generate",
+                          "price", "--n", "200", "--m", "3", "--seed", "5",
+                          "--out", str(out)], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    assert res.stdout == f"wrote {out}: 200 nodes, 594 edges\n"
     g = build_graph(read_edge_list(out))
     assert g.num_nodes == 200
     assert g.num_edges == 3 * 4 // 2 + (200 - 4) * 3
 
 
-def test_generate_lfr_writes_labels(tmp_path):
+def test_generate_lfr_writes_labels(tmp_path, run_cli):
     out = tmp_path / "lfr.edges"
     labels = tmp_path / "lfr.labels"
     res = run_cli("generate", "lfr", "--n", "400", "--tau1", "2.5",
@@ -41,7 +53,7 @@ def test_generate_lfr_writes_labels(tmp_path):
     assert [int(r[0]) for r in rows] == list(range(400))
 
 
-def test_split_writes_files_and_sidecar(tmp_path):
+def test_split_writes_files_and_sidecar(tmp_path, run_cli):
     graph_file = tmp_path / "g.edges"
     run_cli("generate", "price", "--n", "300", "--m", "4", "--seed", "1",
             "--out", str(graph_file))
@@ -60,7 +72,7 @@ def test_split_writes_files_and_sidecar(tmp_path):
     assert train.shape[0] + pos.shape[0] == meta["num_edges"]
 
 
-def test_score_csv_matches_library(tmp_path):
+def test_score_csv_matches_library(tmp_path, run_cli):
     graph_file = tmp_path / "g.edges"
     run_cli("generate", "price", "--n", "120", "--m", "3", "--seed", "3",
             "--out", str(graph_file))
@@ -80,7 +92,7 @@ def test_score_csv_matches_library(tmp_path):
     assert [(int(r["i"]), int(r["j"])) for r in rows] == [(0, 9), (4, 17), (2, 88)]
 
 
-def test_recommend_reports_vcmpr(tmp_path):
+def test_recommend_reports_vcmpr(tmp_path, run_cli):
     graph_file = tmp_path / "g.edges"
     run_cli("generate", "price", "--n", "150", "--m", "3", "--seed", "4",
             "--out", str(graph_file))
@@ -139,7 +151,7 @@ def test_recommend_rejects_unrecommendable_positive(tmp_path, capsys, pair,
     assert not out.exists()
 
 
-def test_rank_compare_half(tmp_path):
+def test_rank_compare_half(tmp_path, run_cli):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     a.write_text("method\npa\ncn\n")
@@ -150,7 +162,7 @@ def test_rank_compare_half(tmp_path):
     assert json.loads(res.stdout)["rbo"] == pytest.approx(0.5)
 
 
-def test_rank_compare_rejects_headerless(tmp_path):
+def test_rank_compare_rejects_headerless(tmp_path, run_cli):
     a = tmp_path / "a.csv"
     a.write_text("pa\ncn\n")
     res = run_cli("rank-compare", "--a", str(a), "--b", str(a))
@@ -158,7 +170,7 @@ def test_rank_compare_rejects_headerless(tmp_path):
     assert res.stderr.startswith("error:")
 
 
-def test_theory_json(tmp_path):
+def test_theory_json(tmp_path, run_cli):
     graph_file = tmp_path / "g.edges"
     run_cli("generate", "price", "--n", "400", "--m", "5", "--seed", "6",
             "--out", str(graph_file))
@@ -173,7 +185,7 @@ def test_theory_json(tmp_path):
     assert data["positive_law"]["mu"] == pytest.approx(fit.mu + fit.sigma ** 2)
 
 
-def test_evaluate_end_to_end(tmp_path):
+def test_evaluate_end_to_end(tmp_path, run_cli):
     config = {
         "graphs": [{"id": "p1", "generator": {"kind": "price", "n": 150,
                                               "m_per_node": 3, "seed": 1}}],
@@ -200,7 +212,7 @@ def test_evaluate_end_to_end(tmp_path):
     assert "uniform_vs_recommendation" in data["rbo"]
 
 
-def test_bad_arguments_exit_two(tmp_path):
+def test_bad_arguments_exit_two(tmp_path, run_cli):
     res = run_cli("generate", "price", "--n", "3", "--m", "9", "--seed", "0",
                   "--out", str(tmp_path / "x.edges"))
     assert res.returncode == 2
@@ -210,7 +222,7 @@ def test_bad_arguments_exit_two(tmp_path):
     assert res.returncode == 2
 
 
-def test_id_beyond_int64_exits_two_naming_it(tmp_path):
+def test_id_beyond_int64_exits_two_naming_it(tmp_path, run_cli):
     # used to end in an OverflowError traceback with exit 1
     graph_file = tmp_path / "huge.edges"
     graph_file.write_text(f"0 1\n1 {10**23}\n")
@@ -220,7 +232,7 @@ def test_id_beyond_int64_exits_two_naming_it(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-def test_evaluate_bad_config_exits_two(tmp_path):
+def test_evaluate_bad_config_exits_two(tmp_path, run_cli):
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps({
         "graphs": [{"id": "p", "generator": {"kind": "price", "n": 50}}],

@@ -136,6 +136,14 @@ def test_price_rejects_bad_sizes():
         generate_price(10, 0, seed=0)
 
 
+@pytest.mark.parametrize("n", [2**32 + 1, 2**40, 10**30])
+def test_price_rejects_node_counts_past_the_id_range(n):
+    # raised before the (n * m, 2) edge array, terabytes here, is allocated
+    want = f"^n must be at most {2**32}, got {n}$"
+    with pytest.raises(ValueError, match=want):
+        generate_price(n, 1, seed=0)
+
+
 @pytest.mark.parametrize("n, m, name", [
     (100.7, 3, "n"), (100, 2.5, "m_per_node"), (100, True, "m_per_node"),
     (True, 1, "n"), (float("nan"), 3, "n"), (100, float("inf"), "m_per_node"),
@@ -237,6 +245,14 @@ def test_lfr_params_validation():
         # a max-degree hub needs (1-mu) k_max internal partners but the
         # largest community cannot hold them
         LfrParams(mu=0.0, **dict(BASE, max_comm=900, min_comm=100))
+
+
+@pytest.mark.parametrize("n", [0, 2**32 + 1, 10**30])
+def test_lfr_params_reject_node_counts_outside_the_id_range(n):
+    # raised before generate_lfr draws n degrees and community labels
+    want = rf"^n must be in \[1, {2**32}\], got {n}$"
+    with pytest.raises(ValueError, match=want):
+        LfrParams(mu=0.3, **dict(BASE, n=n))
 
 
 def test_lfr_mu_zero_is_disjoint_union_of_communities():

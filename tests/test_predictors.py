@@ -359,23 +359,6 @@ def reference_score_lpi(train, arr, epsilon):
     return out
 
 
-def oriented_score_lpi(train, arr, epsilon):
-    """_score_lpi before grouped rows: each pair builds the A^2 row of its
-    endpoint with the smaller two-hop volume vol2 = A @ deg, in chunks of
-    pairs cut by _budget_chunks at vol2[src] + deg[trg] each."""
-    A = train.to_scipy_csr()
-    deg = train.degrees
-    vol2 = (A @ deg).astype(np.int64)
-    flip = vol2[arr[:, 1]] < vol2[arr[:, 0]]
-    src = np.where(flip, arr[:, 1], arr[:, 0])
-    trg = np.where(flip, arr[:, 0], arr[:, 1])
-    paths3 = np.empty(arr.shape[0], dtype=np.float64)
-    for lo, hi in predictors._budget_chunks(vol2[src] + deg[trg]):
-        walks = (A[src[lo:hi]] @ A).multiply(A[trg[lo:hi]])
-        paths3[lo:hi] = np.asarray(walks.sum(axis=1)).ravel()
-    return reference_overlap_sum(A, A, arr) + epsilon * paths3
-
-
 def test_common_neighbour_sums_keep_the_reduceat_order():
     # a pair's weights over its 15 common neighbours sum as np.add.reduceat
     # sums them in ascending id order (scipy's row sum); a running sum and
@@ -407,31 +390,31 @@ def test_common_neighbour_sums_keep_the_reduceat_order():
         assert got.tolist() == [want], node
 
 
-def test_budget_chunks_cover_in_order_within_budget(monkeypatch):
-    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 10)
-    # each item costs cost + 1; the 20 is over budget and stands alone
-    cost = np.array([0, 3, 20, 0, 0, 5, 4, 9, 0])
-    assert list(predictors._budget_chunks(cost)) == [
-        (0, 2), (2, 3), (3, 6), (6, 7), (7, 8), (8, 9)]
-    assert list(predictors._budget_chunks(np.zeros(0, dtype=np.int64))) == []
-    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1)
-    assert list(predictors._budget_chunks(np.zeros(3, dtype=np.int64))) == [
-        (0, 1), (1, 2), (2, 3)]
-    # an explicit budget overrides _CHUNK_BUDGET
-    assert list(predictors._budget_chunks(cost, 25)) == [
-        (0, 2), (2, 5), (5, 9)]
+# (cost, budget, rows) -> the chunks _chunks cuts. A chunk holds (rows it
+# spans) x (its items' cells) <= budget; an item over budget stands alone.
+# The one-row cases are the summed costs cost + 1 of the pair kernels and
+# the fixed steps (cost 1) of the BFS and walk batches.
+BUDGET_COST = np.array([0, 3, 20, 0, 0, 5, 4, 9, 0]) + 1
+GRID_ROWS = np.array([0, 0, 1, 1, 1, 2, 5, 5])
+GRID_COST = np.array([2, 3, 1, 1, 9, 2, 1, 12])
+CHUNK_TABLE = [
+    (BUDGET_COST, 10, None,
+     [(0, 2), (2, 3), (3, 6), (6, 7), (7, 8), (8, 9)]),
+    (BUDGET_COST, 25, None, [(0, 2), (2, 5), (5, 9)]),
+    (np.ones(0, dtype=np.int64), 10, None, []),
+    (np.ones(3, dtype=np.int64), 1, None, [(0, 1), (1, 2), (2, 3)]),
+    (np.ones(7, dtype=np.int64), 3, None, [(0, 3), (3, 6), (6, 7)]),
+    (np.ones(6, dtype=np.int64), 3, None, [(0, 3), (3, 6)]),
+    (GRID_COST, 10, GRID_ROWS,
+     [(0, 2), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8)]),
+    (GRID_COST[:0], 10, GRID_ROWS[:0], []),
+    (GRID_COST[:3], 0, GRID_ROWS[:3], [(0, 1), (1, 2), (2, 3)]),
+]
 
 
-def test_grid_chunks_cover_in_order_within_budget():
-    # a chunk holds (rows it spans) x (its items' columns) <= 10 cells; the
-    # item of 12 columns is over budget and stands alone
-    rows = np.array([0, 0, 1, 1, 1, 2, 5, 5])
-    cost = np.array([2, 3, 1, 1, 9, 2, 1, 12])
-    assert list(predictors._grid_chunks(rows, cost, 10)) == [
-        (0, 2), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
-    assert list(predictors._grid_chunks(rows[:0], cost[:0], 10)) == []
-    assert list(predictors._grid_chunks(rows[:3], cost[:3], 0)) == [
-        (0, 1), (1, 2), (2, 3)]
+@pytest.mark.parametrize("cost, budget, rows, want", CHUNK_TABLE)
+def test_chunks_cover_in_order_within_budget(cost, budget, rows, want):
+    assert list(predictors._chunks(cost, budget, rows)) == want
 
 
 def hub_pairs():
@@ -452,26 +435,28 @@ def hub_pairs():
 
 
 def spy_lookup_borders(monkeypatch):
-    """Record the borders that _score_lpi's lookup sub-chunks cross: "cut"
-    when one starts inside a distinct endpoint's group of pairs, "inside"
-    when one lies within a group, starting and ending inside it, and
-    "over" when one pair's reads alone exceed the cell budget."""
+    """Record the borders that _score_lpi's lookup sub-chunks (the _chunks
+    calls that pass rows) cross: "cut" when one starts inside a distinct
+    endpoint's group of pairs, "inside" when one lies within a group,
+    starting and ending inside it, and "over" when one pair's reads alone
+    exceed the cell budget."""
     seen = set()
-    grid_chunks = predictors._grid_chunks
+    chunks = predictors._chunks
 
-    def spy(rows, cost, budget):
-        for lo, hi in grid_chunks(rows, cost, budget):
-            starts_in = 0 < lo and rows[lo - 1] == rows[lo]
-            if starts_in:
-                seen.add("cut")
-                if hi < rows.size and rows[hi - 1] == rows[hi]:
-                    seen.add("inside")
-            if cost[lo:hi].sum() > budget:
-                assert hi - lo == 1
-                seen.add("over")
+    def spy(cost, budget, rows=None):
+        for lo, hi in chunks(cost, budget, rows):
+            if rows is not None:
+                starts_in = 0 < lo and rows[lo - 1] == rows[lo]
+                if starts_in:
+                    seen.add("cut")
+                    if hi < rows.size and rows[hi - 1] == rows[hi]:
+                        seen.add("inside")
+                if cost[lo:hi].sum() > budget:
+                    assert hi - lo == 1
+                    seen.add("over")
             yield lo, hi
 
-    monkeypatch.setattr(predictors, "_grid_chunks", spy)
+    monkeypatch.setattr(predictors, "_chunks", spy)
     return seen
 
 
@@ -499,8 +484,8 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
         # 512 to 2**14 put chunk borders mid-array, with several pairs in
         # most chunks; 1 gives every pair a chunk of its own
         deg = train.degrees
-        cost = deg[pairs[:, 0]] + deg[pairs[:, 1]]
-        chunks = list(predictors._budget_chunks(cost))
+        cost = deg[pairs[:, 0]] + deg[pairs[:, 1]] + 1
+        chunks = list(predictors._chunks(cost, budget))
         assert 1 < len(chunks) and (budget == 1) == (len(chunks) == len(pairs))
     for name in methods:
         got = score_method(train, pairs, MethodSpec(name))
@@ -509,7 +494,6 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
     for epsilon in (0.01, 0.5):
         got = score_method(train, pairs, MethodSpec("lpi", epsilon=epsilon))
         assert np.array_equal(got, want[epsilon]), epsilon
-        assert np.array_equal(got, oriented_score_lpi(train, pairs, epsilon))
     assert borders >= BUDGET_BORDERS[budget], borders
 
 
