@@ -99,6 +99,7 @@ class Graph:
         "dropped_self_loops",
         "dropped_duplicates",
         "_csr",
+        "_common",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
@@ -115,6 +116,9 @@ class Graph:
         self.dropped_self_loops = int(dropped_self_loops)
         self.dropped_duplicates = int(dropped_duplicates)
         self._csr = None
+        # predictors' one-entry cache: a pair array and its common
+        # neighbours, shared by the cn-family methods that score it
+        self._common = None
 
     # ------------------------------------------------------------------
     # basic accessors

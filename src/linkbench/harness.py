@@ -226,7 +226,9 @@ def _auc_cell(config: BenchmarkConfig, graph: Graph, sampler: str, seed):
     """Split once; the split and negatives are shared by all methods."""
     split = make_split(graph, config.beta, sampler, seed)
     # one scoring call per method: every kernel scores each pair on its own,
-    # so the split of the joint scores equals two separate calls
+    # so the split of the joint scores equals two separate calls. cn,
+    # jaccard, adamic_adar and resource_alloc share one common-neighbour
+    # pass over these pairs, kept on split.train by the first of them.
     pairs = np.concatenate([split.positives, split.negatives])
     cut = len(split.positives)
 

@@ -10,7 +10,7 @@ from conftest import neighbors
 from linkbench import (MethodSpec, build_graph, score_method, split_positive,
                        write_edge_list)
 from linkbench.cli import main
-from linkbench import harness
+from linkbench import harness, predictors
 from linkbench.harness import (BenchmarkConfig, GraphSource, compare_rankings,
                                derive_seed, run_evaluation, write_rows_csv,
                                write_summary_json)
@@ -450,6 +450,34 @@ def test_run_evaluation_calls_compare_rankings_once_per_sampler(monkeypatch):
     assert got == want
     assert set(got) == {"uniform_vs_recommendation",
                         "degree-corrected_vs_recommendation"}
+
+
+def test_link_prediction_cell_builds_common_neighbours_once(monkeypatch):
+    # cn, jaccard, adamic_adar and resource_alloc score one pair array per
+    # cell; the first of them builds its common-neighbour pattern and the
+    # others read it, with the rows of four separate passes
+    cfg = BenchmarkConfig(graphs=(price_source("a", n=300, seed=1),),
+                          methods=tuple(MethodSpec(m) for m in (
+                              "jaccard", "pa", "resource_alloc", "cn",
+                              "adamic_adar")),
+                          repeats=2, master_seed=43)
+    cells = len(cfg.samplers) * cfg.repeats
+    build = predictors._common_pattern
+    builds = []
+
+    def counting_build(train, arr):
+        builds.append(arr.shape)
+        return build(train, arr)
+
+    monkeypatch.setattr(predictors, "_common_pattern", counting_build)
+    shared = run_evaluation(cfg, jobs=2)
+    assert len(builds) == cells
+    builds.clear()
+    monkeypatch.setattr(predictors, "_shared_pattern", counting_build)
+    apart = run_evaluation(cfg)
+    assert len(builds) == 4 * cells
+    assert shared == apart
+    assert not shared["summary"]["failures"]
 
 
 @pytest.mark.filterwarnings("ignore:discarded")

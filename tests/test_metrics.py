@@ -1,14 +1,15 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import neighbors
-from linkbench import (METHODS, MethodSpec, auc_roc, build_graph, metrics,
-                       predictors, rbo, score_method, top_c_recommend,
-                       vcmpr_at_c, vcmpr_per_node)
+from linkbench import (METHODS, MethodSpec, auc_roc, build_graph,
+                       generate_price, metrics, predictors, rbo, score_method,
+                       top_c_recommend, vcmpr_at_c, vcmpr_per_node)
 
 
 def brute_auc(pos, neg):
@@ -131,8 +132,9 @@ def test_top_c_items_hold_only_top_c_ids():
 def test_top_c_scores_without_pair_lists(monkeypatch, method):
     # count every pair that reaches a pair scorer, and every pass of the
     # common-neighbour kernel: the block forms build no (block, n) pair
-    # list, the common-neighbour family scores only its support, and cn
-    # and jaccard read their counts off it with no kernel pass
+    # list, the common-neighbour family scores only its support, cn and
+    # jaccard read their counts off it with no kernel pass, and no block
+    # leaves its support pairs in the graph's pattern cache
     g = random_graph(600, 0.02, seed=5)
     seen = []
     passes = []
@@ -148,8 +150,8 @@ def test_top_c_scores_without_pair_lists(monkeypatch, method):
     for name, (kernel, block) in list(predictors._FORMS.items()):
         monkeypatch.setitem(predictors._FORMS, name,
                             (counting(kernel, seen), block))
-    monkeypatch.setattr(predictors, "_common_sum",
-                        counting(predictors._common_sum, passes))
+    monkeypatch.setattr(predictors, "_common_pattern",
+                        counting(predictors._common_pattern, passes))
     assert len(top_c_recommend(g, MethodSpec(method), top_c=5)) == 600
     A = g.to_scipy_csr()
     if method in ("cn", "jaccard", "adamic_adar", "resource_alloc"):
@@ -157,6 +159,29 @@ def test_top_c_scores_without_pair_lists(monkeypatch, method):
     else:
         assert sum(seen) == 0
     assert (len(passes) > 0) == (method in ("adamic_adar", "resource_alloc"))
+    assert g._common is None
+
+
+@pytest.mark.parametrize("method", ["pa", "cn"])
+def test_top_c_peak_memory_within_its_stated_bound(method):
+    # top_c_recommend's O(block * n) words for a block's scores and their
+    # argsort, plus the result's O(n * top_c) ids and, for cn, the support
+    # of A[blk] @ A, as traced numpy and scipy arrays over the whole call.
+    # At n = 5,000 the bound is 82 MiB for pa and 122 MiB for cn, and one
+    # (n, n) float64 array alone would take 191 MiB.
+    g = generate_price(5000, 5, seed=2)
+    A = g.to_scipy_csr()  # the cached matrix is the graph's
+    n, block, top_c = g.num_nodes, metrics._REC_BLOCK, 50
+    support = max((A[lo:lo + block] @ A).nnz for lo in range(0, n, block))
+    tracemalloc.start()
+    try:
+        top_c_recommend(g, MethodSpec(method), top_c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = 4 * block * n + 2 * n * top_c + (16 * support if method == "cn"
+                                              else 0)
+    assert peak <= 8 * words, (peak, 8 * words)
 
 
 def reference_vcmpr_per_node(items, positives, top_c):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -390,6 +392,94 @@ def test_common_neighbour_sums_keep_the_reduceat_order():
         assert got.tolist() == [want], node
 
 
+CN_FAMILY = ("cn", "jaccard", "adamic_adar", "resource_alloc")
+
+
+def cached_pattern_is_read_only(train, arr):
+    """Whether train's cached pair array equals arr, as a copy, and it and
+    the cached pattern's arrays are read-only."""
+    key, pattern = train._common
+    return (np.array_equal(key, arr) and not np.shares_memory(key, arr)
+            and not any(a.flags.writeable for a in
+                        (key, pattern.data, pattern.indices, pattern.indptr)))
+
+
+def test_shared_pattern_follows_the_pair_array():
+    # the cache is keyed by the pair array's content: an array of the same
+    # shape, and the first array changed in place, each get their own pass
+    train, pairs = hub_pairs()
+    P, Q = pairs[:800].copy(), pairs[800:1600].copy()
+
+    def check(arr):
+        for name in CN_FAMILY:
+            got = score_method(train, arr, MethodSpec(name))
+            assert np.array_equal(got, reference_common_scores(
+                train, arr, name)), name
+            assert cached_pattern_is_read_only(train, arr), name
+            assert arr.flags.writeable  # the caller's array is left alone
+    check(P)
+    check(Q)
+    before = reference_common_scores(train, P, "cn")
+    P[:, 1] = np.roll(P[:, 1], 1)
+    assert not np.array_equal(reference_common_scores(train, P, "cn"), before)
+    check(P)
+
+
+@pytest.mark.parametrize("order", [CN_FAMILY[2:] + CN_FAMILY[:2],
+                                   CN_FAMILY[3:1:-1] + CN_FAMILY[:2]])
+def test_weighted_sums_leave_the_shared_pattern_whole(order):
+    # adamic_adar weighs a degree-1 common neighbour by 0, and dropping that
+    # term compacts its arrays in place: on the shared pattern it would
+    # shift every later row. Sources 800..999 hold the self-pairs (807,
+    # 807) and (972, 972), whose common neighbours include one of degree 1.
+    g = block_cases()[0][0]
+    pairs = block_pairs(800, 1000, g.num_nodes)
+    for name in order:
+        got = score_method(g, pairs, MethodSpec(name))
+        assert np.array_equal(got, reference_common_scores(g, pairs, name)), \
+            (order, name)
+        assert cached_pattern_is_read_only(g, pairs), name
+
+
+def test_shared_pattern_fills_equal_under_threads():
+    # evaluate --jobs may share one train Graph across threads; the pattern
+    # cache has no lock, so threads that race on it, two pair arrays of one
+    # shape taking turns in its one entry, must each get the serial scores
+    train, pairs = hub_pairs()
+    arrays = (pairs[:2000], pairs[2000:4000])
+    want = {(a, name): score_method(train, arrays[a], MethodSpec(name))
+            for a in range(2) for name in CN_FAMILY}
+    workers = 8
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            g = build_graph(train.edge_array(), num_nodes=train.num_nodes)
+            barrier = threading.Barrier(workers)
+            got = [None] * workers
+
+            def call(t):
+                barrier.wait(timeout=10)
+                # half the threads start on each array, each at its own method
+                names = CN_FAMILY[t % 4:] + CN_FAMILY[:t % 4]
+                got[t] = {(a, name): score_method(g, arrays[a],
+                                                  MethodSpec(name))
+                          for a in (t % 2, 1 - t % 2) for name in names}
+            threads = [threading.Thread(target=call, args=(t,))
+                       for t in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for scores in got:
+                assert scores.keys() == want.keys()
+                for key, value in scores.items():
+                    assert np.array_equal(value, want[key]), key
+    finally:
+        sys.setswitchinterval(old)
+
+
 # (cost, budget, rows) -> the chunks _chunks cuts. A chunk holds (rows it
 # spans) x (its items' cells) <= budget; an item over budget stands alone.
 # The one-row cases are the summed costs cost + 1 of the pair kernels and
@@ -474,9 +564,8 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
         # a chunk per pair is slow; a shuffled slice keeps every kind
         pairs = pairs[:1000]
         assert (pairs[:, 0] == pairs[:, 1]).any()
-    methods = ("cn", "jaccard", "adamic_adar", "resource_alloc")
     want = {name: reference_common_scores(train, pairs, name)
-            for name in methods}
+            for name in CN_FAMILY}
     for epsilon in (0.01, 0.5):
         want[epsilon] = reference_score_lpi(train, pairs, epsilon)
     if budget is not None:
@@ -487,7 +576,7 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
         cost = deg[pairs[:, 0]] + deg[pairs[:, 1]] + 1
         chunks = list(predictors._chunks(cost, budget))
         assert 1 < len(chunks) and (budget == 1) == (len(chunks) == len(pairs))
-    for name in methods:
+    for name in CN_FAMILY:
         got = score_method(train, pairs, MethodSpec(name))
         assert np.array_equal(got, want[name]), name
     borders = spy_lookup_borders(monkeypatch)
@@ -519,19 +608,20 @@ def test_lpi_peak_memory_within_its_stated_bound(budget, monkeypatch):
     assert peak <= 8 * words, (peak, 8 * words)
 
 
-@pytest.mark.parametrize("method", ["cn", "jaccard", "adamic_adar",
-                                    "resource_alloc"])
+@pytest.mark.parametrize("method", CN_FAMILY)
 def test_common_neighbour_peak_memory_within_its_stated_bound(method,
                                                               monkeypatch):
-    # _common_sum's O(n + pairs + _CHUNK_BUDGET) words, as traced numpy and
-    # scipy arrays, for 1,000 hub-heavy pairs of a train graph with m / n
-    # = 37, so that an O(m) array stands out: the bound is 0.98 MiB, a
-    # weighted copy of A peaked at 8.6 MiB, and all 1,000 pairs' rows and
-    # intersections in one chunk at 14.6 MiB
+    # _common_pattern's O(n + pairs + sum cn + _CHUNK_BUDGET) words, with
+    # the pattern kept in the train graph's cache, as traced numpy and
+    # scipy arrays, for 1,000 hub-heavy pairs (sum cn = 25,215) of a train
+    # graph with m / n = 37, so that an O(m) array stands out: the bound
+    # is 2.5 MiB, a weighted copy of A peaked at 8.6 MiB, and all 1,000
+    # pairs' rows and intersections in one chunk at 14.6 MiB
     g = generate_price(5000, 50, seed=2)
     split = make_split(g, 0.25, "degree-corrected", 5)
     pairs = np.concatenate([split.positives, split.negatives])[:1000]
-    split.train.to_scipy_csr()  # the cached matrix is the graph's
+    A = split.train.to_scipy_csr()  # the cached matrix is the graph's
+    sum_cn = int(reference_overlap_sum(A, A, pairs).sum())
     monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1 << 14)
     tracemalloc.start()
     try:
@@ -539,12 +629,12 @@ def test_common_neighbour_peak_memory_within_its_stated_bound(method,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = 16 * (g.num_nodes + pairs.shape[0]) + 2 * predictors._CHUNK_BUDGET
+    words = (16 * (g.num_nodes + pairs.shape[0]) + 8 * sum_cn
+             + 2 * predictors._CHUNK_BUDGET)
     assert peak <= 8 * words, (peak, 8 * words)
 
 
-@pytest.mark.parametrize("method", ["cn", "jaccard", "adamic_adar",
-                                    "resource_alloc"])
+@pytest.mark.parametrize("method", CN_FAMILY)
 def test_common_neighbour_block_peak_memory_within_its_stated_bound(
         method, monkeypatch):
     # _block_common's one (block, n) float64 array plus O(support + n +
