@@ -6,6 +6,7 @@ import math
 import numbers
 
 import numpy as np
+from scipy import sparse
 from scipy.stats import rankdata
 
 from .graph import _as_pair_array, _is_number, sorted_unique
@@ -31,9 +32,12 @@ def auc_roc(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
-# sources scored per score_block call in top_c_recommend; not sized from
-# predictors._CHUNK_BUDGET, whose 2**21 / n would give rec-lfr blocks of
-# 1,048 sources and double each (block, n) array (lpi's block holds three)
+# sources scored per score_block call in top_c_recommend. A dense block
+# and its partition copy take 16 bytes per cell, 16 MiB at n = 2,000 (lpi's
+# block form holds three float64 blocks while it scores); sizing from
+# predictors._CHUNK_BUDGET, 2**21 / n, would give rec-lfr blocks of 1,048
+# sources and double that. The common-neighbour family's support route
+# takes no (block, n) array at any block size.
 _REC_BLOCK = 512
 
 
@@ -44,15 +48,25 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     source i, best first, and has length min(top_c, n - 1 - deg i).
     Candidates never include i itself or its train neighbours, and ties are
     broken by ascending node id. score_block scores each block of sources
-    against all n nodes as one (block, n) matrix, with no (block, n) pair
-    list; self and neighbour entries are then masked to +inf in the negated
-    scores, and one stable argsort per block orders the rest.
+    against all n nodes, with no (block, n) pair list, and each block takes
+    one of two exact routes, neither of which sorts a whole row:
 
-    Peak memory is O(block * n) for the scores and their argsort, plus
-    O(n * b) floats for lrw's walk of b = max(16, min(256, 2e7 // n))
-    columns at a time, and the support of A[blk] @ A for cn, jaccard,
-    adamic_adar and resource_alloc. The top-C columns are copied out, so
-    the result holds O(n * top_c) ids.
+    - a dense (block, n) block (pa, lpi, shortest_path, lrw): its negated
+      scores, self and neighbours masked to +inf, are cut at each row's
+      C-th smallest value (np.partition), and the entries below the cut,
+      plus the smallest ids at it, are ranked. Peak memory is O(block * n)
+      for the scores and the partition's copy, plus what score_block
+      takes (lrw's O(n * b) column walk of b = max(16, min(256, 2e7 //
+      n)) columns);
+    - a CSR block of the support of A[blk] @ A (cn, jaccard, adamic_adar,
+      resource_alloc), every other score exactly 0: the positive support
+      entries off self and neighbours are ranked, and a row short of C is
+      filled with its smallest ids outside them, self and neighbours,
+      which all score 0. Peak memory is O(support + block * C + n +
+      _CHUNK_BUDGET) words, with no (block, n) array.
+
+    Both rank by (row, -score, id) in one stable sort (_ranked), and the
+    result holds O(n * top_c) ids.
     """
     if not _is_number(top_c, numbers.Integral) or top_c < 1:
         raise ValueError(f"top_c must be an integer >= 1, got {top_c!r}")
@@ -61,16 +75,97 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     items: list = []
     for lo in range(0, n, _REC_BLOCK):
         hi = min(lo + _REC_BLOCK, n)
-        rows = np.arange(hi - lo)
-        neg = score_block(train, lo, hi, spec)
-        np.negative(neg, out=neg)
-        neg[rows, rows + lo] = np.inf
-        neg[np.repeat(rows, deg[lo:hi]),
-            train.indices[train.indptr[lo]:train.indptr[hi]]] = np.inf
-        top = np.argsort(neg, axis=1, kind="stable")[:, :top_c].copy()
+        scores = score_block(train, lo, hi, spec)
         keep = np.minimum(top_c, n - 1 - deg[lo:hi])
-        items.extend(top[r, :k] for r, k in zip(rows, keep))
+        route = _top_support if sparse.issparse(scores) else _top_dense
+        ids = route(scores, _masked_keys(train, lo, hi), keep)
+        ends = np.cumsum(keep)
+        # slices, not np.split, which takes ~4 times as long per row
+        items.extend(ids[a:b] for a, b in zip((ends - keep).tolist(),
+                                               ends.tolist()))
     return items
+
+
+def _masked_keys(train, lo, hi):
+    """Ascending keys r * n + j of the pairs (lo + r, j) that no list of
+    the block may hold: each source with itself and its train neighbours."""
+    n = train.num_nodes
+    rows = np.arange(hi - lo)
+    nbrs = train.indices[train.indptr[lo]:train.indptr[hi]]
+    return np.sort(np.concatenate([rows * n + rows + lo,
+                                   np.repeat(rows * n, train.degrees[lo:hi])
+                                   + nbrs]))
+
+
+def _ranked(keys, neg, n):
+    """The ids j of entries at ascending keys r * n + j, ordered by row r,
+    then by neg ascending; the sort is stable, so ties keep ascending id."""
+    return keys[np.lexsort((neg, keys // n))] % n
+
+
+def _top_dense(scores, masked, keep):
+    """Row r's keep[r] best ids of a dense (block, n) score block, rows
+    concatenated; the block is negated and masked in place.
+
+    Each row's cut t is its c-th smallest negated score, c = max(keep): a
+    row with fewer than c unmasked entries has c > keep[r] and t = +inf.
+    The row keeps every entry below t and its smallest ids equal to t (a
+    -0.0 equals a 0.0) up to keep[r] entries.
+    """
+    n = scores.shape[1]
+    neg = np.negative(scores, out=scores)
+    neg.flat[masked] = np.inf
+    c = int(keep.max(initial=0))
+    if c == 0:
+        return np.zeros(0, dtype=np.int64)
+    cut = np.partition(neg, c - 1, axis=1)[:, c - 1:c].copy()
+    take = neg < cut
+    need = keep - np.count_nonzero(take, axis=1)
+    tie = np.flatnonzero(neg == cut)
+    row = tie // n
+    rank = np.arange(tie.size) - np.searchsorted(row, row)
+    take.reshape(-1)[tie[rank < need[row]]] = True
+    keys = np.flatnonzero(take)
+    return _ranked(keys, np.take(neg, keys), n)
+
+
+def _top_support(scores, masked, keep):
+    """Row r's keep[r] best ids of a CSR score block with sorted column
+    ids that stores every nonzero score, none negative, rows concatenated.
+
+    The positive entries off the masked keys are ranked, at most keep[r]
+    per row. The rest of row r is filled with its smallest ids outside
+    them and the masked ones: over that row's ascending excluded ids e_i,
+    i = 0, 1, ..., the j-th fill id is j + #{i : e_i - i <= j}.
+    """
+    b, n = scores.shape
+    keys = np.repeat(np.arange(b) * n, np.diff(scores.indptr)) + scores.indices
+    at = np.searchsorted(masked, keys)
+    kept = at == masked.size
+    kept[~kept] = masked[at[~kept]] != keys[~kept]
+    kept &= scores.data > 0
+    keys = keys[kept]
+    ids = _ranked(keys, -scores.data[kept], n)
+    row = keys // n
+    counts = np.bincount(row, minlength=b)
+    rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    top = np.minimum(counts, keep)
+    start = np.cumsum(keep) - keep
+    out = np.empty(int(keep.sum()), dtype=np.int64)
+    sel = rank < keep[row]
+    out[start[row[sel]] + rank[sel]] = ids[sel]
+
+    fills = keep - top
+    gone = np.sort(np.concatenate([masked, keys]))
+    first = np.searchsorted(gone, np.arange(b) * n)
+    # r * n + e_i - i over row r's excluded ids e_i: ascending, as e_i - i
+    # never falls along a row and stays in [0, n)
+    gaps = gone - (np.arange(gone.size) - first[gone // n])
+    frow = np.repeat(np.arange(b), fills)
+    j = np.arange(frow.size) - (np.cumsum(fills) - fills)[frow]
+    fill = j + np.searchsorted(gaps, frow * n + j, side="right") - first[frow]
+    out[start[frow] + top[frow] + j] = fill
+    return out
 
 
 def vcmpr_per_node(items: list, positives, top_c: int) -> list:

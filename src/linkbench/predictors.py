@@ -3,11 +3,12 @@
 _FORMS lists each method's two forms. Its pair kernel (train, arr, spec)
 scores an (m, 2) pair array in float64; those are the numbers of record.
 Its block form (train, lo, hi, spec) scores sources lo..hi-1 against every
-node, bit-identical to the pair kernel. Only lpi reads spec.epsilon and only
-lrw spec.walk_steps. Scoring is pure and every score is finite (the cn
-family's one-entry cache on the train graph moves no score); memory is
-bounded by one budget, _CHUNK_BUDGET, whichever hubs a chunk draws, and
-for lrw's walk by its column batch.
+node, bit-identical to the pair kernel: a dense (hi - lo, n) array, or for
+the common-neighbour family a CSR matrix of its support. Only lpi reads
+spec.epsilon and only lrw spec.walk_steps. Scoring is pure and every score
+is finite (the cn family's one-entry cache on the train graph moves no
+score); memory is bounded by one budget, _CHUNK_BUDGET, whichever hubs a
+chunk draws, and for lrw's walk by its column batch.
 """
 
 from __future__ import annotations
@@ -396,28 +397,31 @@ def _score_lrw(train, arr, spec):
 
 
 def _block_pa(train, lo, hi, spec):
-    deg = train.degrees
-    return np.multiply.outer(deg[lo:hi], deg).astype(np.float64)
+    # a float64 product rounds the exact degree product once, as the pair
+    # kernel's cast of its int64 product does, with no (block, n) int64 copy
+    deg = train.degrees.astype(np.float64)
+    return np.multiply.outer(deg[lo:hi], deg)
 
 
 def _block_common(train, lo, hi, spec):
-    """Block form of the common-neighbour family: the pair kernel scores the
-    support, the nonzeros S of A[lo:hi] @ A, with S's entries as the counts
-    cn (a weighted product would sum adamic_adar and resource_alloc in
-    another order), and every other score is exactly 0. It scores _chunks
-    of the support, deg(i) + deg(j) + 1 row entries per pair, so a weighted
-    method's pattern holds at most a chunk's, and peak memory is one
-    (hi - lo, n) float64 array plus O(support + n + _CHUNK_BUDGET) words."""
+    """Block form of the common-neighbour family, as a CSR matrix: the pair
+    kernel scores the support, the nonzeros S of A[lo:hi] @ A, with S's
+    entries as the counts cn (a weighted product would sum adamic_adar and
+    resource_alloc in another order), and every other score is exactly 0.
+    It scores _chunks of the support, deg(i) + deg(j) + 1 row entries per
+    pair, so a weighted method's pattern holds at most a chunk's, and peak
+    memory is O(support + n + _CHUNK_BUDGET) words."""
     A = train.to_scipy_csr()
     deg = train.degrees
-    S = (A[lo:hi] @ A).tocoo()
-    out = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
-    pairs = np.stack([S.row + lo, S.col], axis=1).astype(np.int64)
+    S = A[lo:hi] @ A
+    S.sort_indices()
+    pairs = np.stack([np.repeat(np.arange(lo, hi), np.diff(S.indptr)),
+                      S.indices], axis=1).astype(np.int64)
     cost = deg[pairs[:, 0]] + deg[pairs[:, 1]] + 1
     for a, b in _chunks(cost, _CHUNK_BUDGET):
-        out[S.row[a:b], S.col[a:b]] = _FORMS[spec.method][0](
-            train, pairs[a:b], spec, S.data[a:b])
-    return out
+        S.data[a:b] = _FORMS[spec.method][0](train, pairs[a:b], spec,
+                                             S.data[a:b])
+    return S
 
 
 def _block_lpi(train, lo, hi, spec):
@@ -475,7 +479,8 @@ METHODS = tuple(_FORMS)
 
 
 def _check_finite(scores, method):
-    if not np.all(np.isfinite(scores)):
+    values = scores.data if sparse.issparse(scores) else scores
+    if not np.all(np.isfinite(values)):
         raise ArithmeticError(f"non-finite score produced by {method}")
     return scores
 
@@ -506,18 +511,22 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     return _check_finite(_FORMS[spec.method][0](train, arr, spec), spec.method)
 
 
-def score_block(train, lo: int, hi: int, spec: MethodSpec) -> np.ndarray:
-    """Scores of sources lo..hi-1 against every node, as a (hi - lo, n) array.
+def score_block(train, lo: int, hi: int, spec: MethodSpec):
+    """Scores of sources lo..hi-1 against every node, as a (hi - lo, n)
+    float64 array, or for the common-neighbour family (cn, jaccard,
+    adamic_adar, resource_alloc) as a (hi - lo, n) CSR matrix with sorted
+    column ids that stores the support, the nonzeros of A[lo:hi] @ A, and
+    whose every other score is exactly 0.
 
-    Row r, column j holds the score of the pair (lo + r, j): the result is
-    bit-identical to score_method on the block's row-major pair list,
-    reshaped, but no such list is built: the common-neighbour family scores
-    only its support, the nonzeros of A[lo:hi] @ A. Peak memory is
-    O((hi - lo) * n), plus O(n * b) floats for lrw's walk of b = max(16,
-    min(256, 2e7 // n)) columns at a time, O(support + n + _CHUNK_BUDGET)
-    words for the common-neighbour family, and for shortest_path a BFS
-    level gather of at most max(_CHUNK_BUDGET, nnz) words with level
-    arrays n / nnz its size.
+    Row r, column j holds the score of the pair (lo + r, j): the result
+    (densified) is bit-identical to score_method on the block's row-major
+    pair list, reshaped, but no such list is built. Peak memory is
+    O((hi - lo) * n) for a dense block, plus O(n * b) floats for lrw's
+    walk of b = max(16, min(256, 2e7 // n)) columns at a time and for
+    shortest_path a BFS level gather of at most max(_CHUNK_BUDGET, nnz)
+    words with level arrays n / nnz its size; the common-neighbour family
+    builds no (hi - lo, n) array and takes O(support + n + _CHUNK_BUDGET)
+    words.
 
     Raises ValueError unless lo and hi are integers with 0 <= lo <= hi <=
     n, and ArithmeticError if the block holds a non-finite score.

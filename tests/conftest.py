@@ -1,6 +1,6 @@
 """Shared test plumbing: a registry that echoes acceptance verdicts, the
-dense adjacency matrix that the scorer oracles start from, and a node's
-neighbour slice of the CSR.
+dense adjacency matrix that the scorer oracles start from, a node's
+neighbour slice of the CSR, and a score block as a dense array.
 
 Acceptance tests record one line each; the hook below prints them as a
 block at the end of the run so the verdicts are visible even when pytest
@@ -8,6 +8,9 @@ captures per-test output.
 """
 
 import numpy as np
+from scipy import sparse
+
+from linkbench import predictors
 
 ACCEPTANCE_RESULTS = []
 
@@ -24,6 +27,13 @@ def dense_adjacency(g):
 def neighbors(g, i):
     """Sorted neighbour ids of node i: its slice of g's CSR."""
     return g.indices[g.indptr[i]:g.indptr[i + 1]]
+
+
+def dense_block(g, lo, hi, spec):
+    """predictors.score_block's scores as a dense (hi - lo, n) array: the
+    common-neighbour family returns its support as a CSR matrix."""
+    scores = predictors.score_block(g, lo, hi, spec)
+    return scores.toarray() if sparse.issparse(scores) else scores
 
 
 def record_acceptance(line: str) -> None:

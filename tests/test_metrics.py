@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from conftest import neighbors
+from conftest import dense_block, neighbors
 from linkbench import (METHODS, MethodSpec, auc_roc, build_graph,
                        generate_price, metrics, predictors, rbo, score_method,
                        top_c_recommend, vcmpr_at_c, vcmpr_per_node)
@@ -90,6 +91,33 @@ def oracle_top_c(train, spec, c):
     return out
 
 
+def argsort_rows(scores, mask, c):
+    """top_c_recommend's route before the partition cut and the support
+    route, on one dense block: each row's negated scores, +inf where mask
+    is set, one stable argsort, and the first min(c, unmasked) ids."""
+    neg = -scores
+    neg[mask] = np.inf
+    top = np.argsort(neg, axis=1, kind="stable")
+    return [top[r, :min(c, int((~mask[r]).sum()))].copy()
+            for r in range(top.shape[0])]
+
+
+def argsort_top_c(train, spec, c):
+    """argsort_rows over 512-source blocks, self and neighbours masked."""
+    n = train.num_nodes
+    deg = train.degrees
+    out = []
+    for lo in range(0, n, 512):
+        hi = min(lo + 512, n)
+        rows = np.arange(hi - lo)
+        mask = np.zeros((hi - lo, n), dtype=bool)
+        mask[rows, rows + lo] = True
+        mask[np.repeat(rows, deg[lo:hi]),
+             train.indices[train.indptr[lo]:train.indptr[hi]]] = True
+        out.extend(argsort_rows(dense_block(train, lo, hi, spec), mask, c))
+    return out
+
+
 def test_top_c_path_single_candidate():
     g = build_graph([(0, 1), (1, 2)])
     recs = top_c_recommend(g, MethodSpec("cn"), top_c=1)
@@ -112,6 +140,144 @@ def test_top_c_matches_exhaustive_oracle(method):
         assert recs[i].tolist() == want[i], f"node {i}"
 
 
+def argsort_cases():
+    """Graphs of more than 1,024 nodes, so that lists cross two 512-source
+    block borders: a Price graph and a sparse random graph whose ids
+    1000..1099 have degree 0."""
+    rng = np.random.default_rng(1)
+    return [generate_price(1300, 3, seed=1),
+            build_graph(rng.integers(0, 1000, size=(2500, 2)),
+                        num_nodes=1100)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_top_c_matches_argsort_route(method):
+    spec = MethodSpec(method)
+    for g in argsort_cases():
+        assert g.num_nodes > 2 * metrics._REC_BLOCK
+        for c in (1, 50, g.num_nodes):
+            got = top_c_recommend(g, spec, c)
+            want = argsort_top_c(g, spec, c)
+            assert len(got) == len(want) == g.num_nodes
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == np.int64 and np.array_equal(a, b), (g, c, i)
+
+
+def crafted_blocks():
+    """(name, scores, mask, c) blocks for the two selection routes."""
+    rng = np.random.default_rng(4)
+    mixed = rng.integers(0, 4, size=(6, 9)).astype(np.float64)
+    mixed_mask = rng.random((6, 9)) < 0.3
+    mixed_mask[0] = True  # a row with no candidate at all
+    mixed_mask[1] = False
+    mixed_mask[2, 1:] = True  # one candidate
+    none = np.zeros((1, 5), dtype=bool)
+    return [
+        ("all equal", np.full((2, 5), 2.0), np.eye(2, 5, dtype=bool), 2),
+        ("all zero", np.zeros((2, 6)), np.eye(2, 6, dtype=bool), 3),
+        ("signed zeros", np.array([[0.0, -0.0, 1.0, 0.0, -0.0, 0.0]]),
+         np.zeros((1, 6), dtype=bool), 3),
+        ("tie across the cut", np.array([[5.0, 3, 1, 3, 3, 0, 3]]),
+         np.zeros((1, 7), dtype=bool), 3),
+        ("tie at the cut with a masked tie",
+         np.array([[3.0, 3, 1, 3, 3, 0, 3]]),
+         np.array([[False, True, False, False, True, False, False]]), 2),
+        ("fewer than c candidates", np.array([[1.0, 2, 2, 0, 4]] * 3),
+         np.array([[True, False, True, True, True],
+                   [True, True, True, True, True],
+                   [False, True, False, True, False]]), 4),
+        ("c = 1", mixed, mixed_mask, 1),
+        ("c = n - 1", mixed, mixed_mask, 8),
+        ("c = n", mixed, mixed_mask, 9),
+        ("c > n", mixed, mixed_mask, 40),
+        ("one row, c = n - 1", np.array([[0.0, 1, 1, 0, 2]]), none, 4),
+        ("one row, c > n", np.array([[0.0, 1, 1, 0, 2]]), none, 7),
+    ]
+
+
+@pytest.mark.parametrize("name, scores, mask, c", crafted_blocks(),
+                         ids=[case[0] for case in crafted_blocks()])
+def test_top_c_selection_routes_match_argsort(name, scores, mask, c):
+    # both routes on one block: the threshold cut of a dense block, and the
+    # support route on the same scores as a CSR matrix, whose unstored
+    # scores are exactly 0, once with only the nonzeros stored and once
+    # with the zeros (of either sign) of even ids stored too
+    want = [row.tolist() for row in argsort_rows(scores, mask, c)]
+    masked = np.flatnonzero(mask)
+    keep = np.minimum(c, (~mask).sum(axis=1))
+    ends = np.cumsum(keep).tolist()
+    rows, ids = np.nonzero((scores != 0) | (np.arange(scores.shape[1]) % 2
+                                            == 0))
+    some_zeros = sparse.csr_matrix((scores[rows, ids], (rows, ids)),
+                                   shape=scores.shape)
+    for route, block in ((metrics._top_dense, scores.copy()),
+                         (metrics._top_support, sparse.csr_matrix(scores)),
+                         (metrics._top_support, some_zeros)):
+        ids = route(block, masked, keep)
+        assert ids.dtype == np.int64
+        got = [ids[a - k:a].tolist() for a, k in zip(ends, keep.tolist())]
+        assert got == want, route.__name__
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_top_c_degree_zero_sources_and_edgeless_graphs(method):
+    spec = MethodSpec(method)
+    for g in (build_graph([(0, 1), (1, 2), (2, 3)], num_nodes=6),
+              build_graph([], num_nodes=5), build_graph([], num_nodes=1)):
+        for c in (1, 2, g.num_nodes - 1, g.num_nodes + 2):
+            if c < 1:
+                continue
+            want = oracle_top_c(g, spec, c)
+            got = top_c_recommend(g, spec, c)
+            assert [row.tolist() for row in got] == [
+                want[i] for i in range(g.num_nodes)], (g, c)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got, argsort_top_c(g, spec, c)))
+
+
+# method -> the top-C route its score_block result takes: the threshold
+# cut of a dense (block, n) array, or the ranked support of a CSR block
+TOP_C_ROUTES = {
+    "pa": "_top_dense",
+    "cn": "_top_support",
+    "jaccard": "_top_support",
+    "adamic_adar": "_top_support",
+    "resource_alloc": "_top_support",
+    "lpi": "_top_dense",
+    "shortest_path": "_top_dense",
+    "lrw": "_top_dense",
+}
+
+
+def test_every_method_has_a_top_c_route():
+    assert set(TOP_C_ROUTES) == set(METHODS)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_method_takes_exactly_one_top_c_route(method, monkeypatch):
+    # every block of every method is ranked by one route, the one the
+    # table names; the support route's fill ranks every unstored score as
+    # 0 behind the stored ones, so its stored scores must not be negative
+    g = random_graph(600, 0.02, seed=5)
+    calls = []
+
+    def counting(name):
+        route = getattr(metrics, name)
+
+        def wrapped(scores, masked, keep):
+            calls.append(name)
+            if sparse.issparse(scores):
+                assert scores.format == "csr" and scores.has_sorted_indices
+                assert (scores.data >= 0).all()
+            return route(scores, masked, keep)
+        return wrapped
+
+    for name in ("_top_dense", "_top_support"):
+        monkeypatch.setattr(metrics, name, counting(name))
+    top_c_recommend(g, MethodSpec(method), top_c=5)
+    assert calls == [TOP_C_ROUTES[method]] * 2
+
+
 def test_top_c_truncates_when_candidates_run_out():
     g = build_graph([(0, 1), (1, 2), (2, 3)])
     recs = top_c_recommend(g, MethodSpec("pa"), top_c=50)
@@ -120,7 +286,7 @@ def test_top_c_truncates_when_candidates_run_out():
 
 
 def test_top_c_items_hold_only_top_c_ids():
-    # items must not be views into the (block, n) argsort of their block
+    # items must not be views into a (block, n) array of their block
     g = random_graph(300, 0.02, seed=4)
     recs = top_c_recommend(g, MethodSpec("pa"), top_c=4)
     held = {id(r if r.base is None else r.base):
@@ -162,13 +328,14 @@ def test_top_c_scores_without_pair_lists(monkeypatch, method):
     assert g._common is None
 
 
-@pytest.mark.parametrize("method", ["pa", "cn"])
+@pytest.mark.parametrize("method", ["pa", "cn", "jaccard", "adamic_adar"])
 def test_top_c_peak_memory_within_its_stated_bound(method):
-    # top_c_recommend's O(block * n) words for a block's scores and their
-    # argsort, plus the result's O(n * top_c) ids and, for cn, the support
-    # of A[blk] @ A, as traced numpy and scipy arrays over the whole call.
-    # At n = 5,000 the bound is 82 MiB for pa and 122 MiB for cn, and one
-    # (n, n) float64 array alone would take 191 MiB.
+    # top_c_recommend's stated bounds, as traced numpy and scipy arrays over
+    # the whole call, with the result's O(n * top_c) ids: O(block * n)
+    # words for pa's dense scores and their partition, and O(support + n)
+    # words for the common-neighbour family, which builds no (block, n)
+    # array. At n = 5,000 the bound is 82 MiB for pa and 44 MiB for the
+    # others, and one (block, n) float64 array takes 19.5 MiB.
     g = generate_price(5000, 5, seed=2)
     A = g.to_scipy_csr()  # the cached matrix is the graph's
     n, block, top_c = g.num_nodes, metrics._REC_BLOCK, 50
@@ -179,8 +346,10 @@ def test_top_c_peak_memory_within_its_stated_bound(method):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = 4 * block * n + 2 * n * top_c + (16 * support if method == "cn"
-                                              else 0)
+    if method == "pa":
+        words = 4 * block * n + 2 * n * top_c
+    else:
+        words = 2 * n * top_c + 16 * (support + n)
     assert peak <= 8 * words, (peak, 8 * words)
 
 

@@ -232,12 +232,23 @@ BLOCK_SPECS = [MethodSpec(m) for m in METHODS] + [
 
 @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=repr)
 def test_score_block_equals_pair_route(spec):
+    # the common-neighbour family stores its support, the pattern of
+    # A[lo:hi] @ A, with sorted column ids, and the others a dense block
     for g, blocks in block_cases():
         n = g.num_nodes
+        A = g.to_scipy_csr()
         for lo, hi in blocks:
             want = score_method(g, block_pairs(lo, hi, n), spec)
             got = predictors.score_block(g, lo, hi, spec)
             assert got.shape == (hi - lo, n)
+            assert sparse.issparse(got) == (spec.method in CN_FAMILY)
+            if sparse.issparse(got):
+                assert got.format == "csr" and got.has_sorted_indices
+                support = (A[lo:hi] @ A).tocsr()
+                support.sort_indices()
+                assert np.array_equal(got.indptr, support.indptr)
+                assert np.array_equal(got.indices, support.indices)
+                got = got.toarray()
             assert np.array_equal(got, want.reshape(hi - lo, n)), (n, lo, hi)
 
 
@@ -637,10 +648,10 @@ def test_common_neighbour_peak_memory_within_its_stated_bound(method,
 @pytest.mark.parametrize("method", CN_FAMILY)
 def test_common_neighbour_block_peak_memory_within_its_stated_bound(
         method, monkeypatch):
-    # _block_common's one (block, n) float64 array plus O(support + n +
-    # _CHUNK_BUDGET) words, as traced numpy and scipy arrays, on the hub
-    # block of a degree-corrected train graph. The bound is 43.9 MiB, and
-    # three dense (block, n) arrays, as a dense jaccard needs, take 61 MiB
+    # _block_common's O(support + n + _CHUNK_BUDGET) words, with no
+    # (block, n) array, as traced numpy and scipy arrays, on the hub block
+    # of a degree-corrected train graph. The bound is 24.4 MiB, and one
+    # dense (block, n) float64 array alone takes 19.5 MiB
     g = generate_price(5000, 5, seed=2)
     train = make_split(g, 0.25, "degree-corrected", 5).train
     A = train.to_scipy_csr()  # the cached matrix is the graph's
@@ -653,9 +664,24 @@ def test_common_neighbour_block_peak_memory_within_its_stated_bound(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = ((hi - lo) * g.num_nodes + 16 * (support + g.num_nodes)
-             + 2 * predictors._CHUNK_BUDGET)
+    words = 16 * (support + g.num_nodes) + 2 * predictors._CHUNK_BUDGET
     assert peak <= 8 * words, (peak, 8 * words)
+
+
+def test_pa_block_peak_memory_is_one_block():
+    # the degree outer product taken in float64: one (block, n) float64
+    # array, plus the (block, n) bool mask of score_block's finiteness
+    # check. An int64 product cast to float64 peaked at 23.5 MiB, and the
+    # bound is 13.4 MiB
+    g = generate_price(3000, 5, seed=2)
+    n, block = g.num_nodes, 512
+    tracemalloc.start()
+    try:
+        predictors.score_block(g, 0, block, MethodSpec("pa"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * block * n + 64 * n, (peak, 9 * block * n + 64 * n)
 
 
 @pytest.mark.parametrize("m, sources", [(5, 64), (5, 320), (40, 128)])

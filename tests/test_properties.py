@@ -13,7 +13,7 @@ from linkbench import (METHODS, MethodSpec, SaturationError,  # noqa: E402
                        build_graph, predictors, rbo,
                        sample_negative_degree_corrected,
                        sample_negative_uniform, score_method, top_c_recommend)
-from conftest import dense_adjacency  # noqa: E402
+from conftest import dense_adjacency, dense_block  # noqa: E402
 from test_graph import assert_matches_reference  # noqa: E402
 from test_metrics import oracle_top_c  # noqa: E402
 from test_predictors import block_pairs  # noqa: E402
@@ -99,7 +99,7 @@ def test_sampler_and_top_c_match_reference_loops(g, count, seed, method,
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n))
     pair_route = score_method(g, block_pairs(lo, hi, n), spec)
-    assert np.array_equal(predictors.score_block(g, lo, hi, spec),
+    assert np.array_equal(dense_block(g, lo, hi, spec),
                           pair_route.reshape(hi - lo, n))
 
 
@@ -154,7 +154,7 @@ def test_lpi_and_cn_match_dense_walk_counts(g, epsilon, data):
     for spec, want in cases:
         assert np.array_equal(score_method(g, pairs, spec),
                               want[pairs[:, 0], pairs[:, 1]]), spec
-        assert np.array_equal(predictors.score_block(g, lo, hi, spec),
+        assert np.array_equal(dense_block(g, lo, hi, spec),
                               want[lo:hi]), spec
         # the smallest budget: a chunk per pair and per distinct endpoint,
         # so self-pairs and repeated endpoints sit at every border
@@ -198,7 +198,7 @@ def test_remaining_scorers_match_dense_oracles(g, walk_steps, data):
         np.testing.assert_allclose(score_method(g, pairs, spec),
                                    want[pairs[:, 0], pairs[:, 1]],
                                    rtol=rtol, atol=0, err_msg=repr(spec))
-        np.testing.assert_allclose(predictors.score_block(g, lo, hi, spec),
+        np.testing.assert_allclose(dense_block(g, lo, hi, spec),
                                    want[lo:hi], rtol=rtol, atol=0,
                                    err_msg=repr(spec))
 
