@@ -23,7 +23,8 @@ import numpy as np
 
 from .graph import Graph, _is_number, build_graph, read_edge_list
 from .generators import LfrParams, generate_lfr, generate_price
-from .metrics import auc_roc, rbo, top_c_recommend, vcmpr_at_c
+from .metrics import (_check_top_c, auc_roc, rbo, top_c_recommend,
+                      vcmpr_at_c)
 from .predictors import MethodSpec, score_method
 from .sampling import _SAMPLERS, make_split, split_positive
 
@@ -127,8 +128,7 @@ class BenchmarkConfig:
                     or len(set(chosen)) != len(chosen)):
                 raise ValueError(
                     f"{key} must be distinct members of {allowed}, got {chosen}")
-        if not _is_number(self.top_c, numbers.Integral) or self.top_c < 1:
-            raise ValueError(f"top_c must be an integer >= 1, got {self.top_c!r}")
+        _check_top_c(self.top_c)
         if not _is_number(self.rbo_p) or not 0 < self.rbo_p < 1:
             raise ValueError(f"rbo_p must be a number in (0, 1), got {self.rbo_p!r}")
         if not _is_number(self.master_seed, numbers.Integral):

@@ -32,6 +32,16 @@ def auc_roc(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
+def _check_top_c(top_c) -> int:
+    """top_c as an int; ValueError unless it is an integer in [1, 2**63),
+    the int64 range that numpy takes a list length in. The int keeps a
+    numpy uint64 from turning the list lengths into floats."""
+    if not _is_number(top_c, numbers.Integral) or not 1 <= top_c < 2 ** 63:
+        raise ValueError(
+            f"top_c must be an integer in [1, 2**63), got {top_c!r}")
+    return int(top_c)
+
+
 # sources scored per score_block call in top_c_recommend. A dense block
 # and its partition copy take 16 bytes per cell, 16 MiB at n = 2,000 (lpi's
 # block form holds three float64 blocks while it scores); sizing from
@@ -59,17 +69,19 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
       takes (lrw's O(n * b) column walk of b = max(16, min(256, 2e7 //
       n)) columns);
     - a CSR block of the support of A[blk] @ A (cn, jaccard, adamic_adar,
-      resource_alloc), every other score exactly 0: the positive support
-      entries off self and neighbours are ranked, and a row short of C is
-      filled with its smallest ids outside them, self and neighbours,
-      which all score 0. Peak memory is O(support + block * C + n +
-      _CHUNK_BUDGET) words, with no (block, n) array.
+      resource_alloc), every other score exactly 0, scored from a listing
+      of the block's walks i - z - j, a chunk of sources at a time: the
+      positive support entries off self and neighbours are ranked, and a
+      row short of C is filled with its smallest ids outside them, self
+      and neighbours, which all score 0. Peak memory is O(support + block
+      * C + n + m + _CHUNK_BUDGET) words, with no (block, n) array: a
+      chunk holds at most a quarter of _CHUNK_BUDGET walks, or one
+      source's vol2 = sum of deg z over z in N(i), at most 2m.
 
     Both rank by (row, -score, id) in one stable sort (_ranked), and the
     result holds O(n * top_c) ids.
     """
-    if not _is_number(top_c, numbers.Integral) or top_c < 1:
-        raise ValueError(f"top_c must be an integer >= 1, got {top_c!r}")
+    top_c = _check_top_c(top_c)
     n = train.num_nodes
     deg = train.degrees
     items: list = []
@@ -176,8 +188,7 @@ def vcmpr_per_node(items: list, positives, top_c: int) -> list:
     hits / partners, and vcmpr is the larger of the two. Positives name
     node ids in [0, len(items)); any other id raises ValueError.
     """
-    if not _is_number(top_c, numbers.Integral) or top_c < 1:
-        raise ValueError(f"top_c must be an integer >= 1, got {top_c!r}")
+    top_c = _check_top_c(top_c)
     pos = _as_pair_array(positives, len(items))
     if pos.size == 0:
         raise ValueError("no node has a held-out positive partner")

@@ -129,6 +129,21 @@ def test_recommend_rejects_out_of_range_positive(tmp_path, capsys, pair):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("top_c", ["0", "9223372036854775808"])
+def test_recommend_rejects_top_c_out_of_range(tmp_path, capsys, top_c):
+    # 2**63 used to end in an OverflowError traceback and exit code 1
+    train, pos, out = (tmp_path / name for name in ("c4.train", "c4.pos",
+                                                    "recs.csv"))
+    write_edge_list(np.array([(0, 1), (1, 2), (2, 3), (0, 3)]), train)
+    pos.write_text("0 2\n")
+    code = main(["recommend", "--train", str(train), "--pos", str(pos),
+                 "--method", "cn", "--top-c", top_c, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: top_c") and top_c in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pair, kind", [("1 1", "a self-pair"),
                                         ("1 0", "a train edge")])
 def test_recommend_rejects_unrecommendable_positive(tmp_path, capsys, pair,

@@ -82,7 +82,9 @@ LFR = {"kind": "lfr", "n": 100, "tau1": 2.5, "tau2": 3.0, "mu": 0.1,
      "walk_steps must be an integer >= 2, got True"),
     ({"beta": "0.25"}, "beta must be a number in (0, 1), got '0.25'"),
     ({"rbo_p": True}, "rbo_p must be a number in (0, 1), got True"),
-    ({"top_c": "5"}, "top_c must be an integer >= 1, got '5'"),
+    ({"top_c": "5"}, "top_c must be an integer in [1, 2**63), got '5'"),
+    ({"top_c": 2 ** 63},
+     "top_c must be an integer in [1, 2**63), got 9223372036854775808"),
     ({"repeats": 1.5}, "repeats must be an integer >= 1, got 1.5"),
     ({"repeats": True}, "repeats must be an integer >= 1, got True"),
     ({"methods": [5]}, "method entry must be an object, got 5"),

@@ -297,9 +297,9 @@ def test_top_c_items_hold_only_top_c_ids():
 @pytest.mark.parametrize("method", METHODS)
 def test_top_c_scores_without_pair_lists(monkeypatch, method):
     # count every pair that reaches a pair scorer, and every pass of the
-    # common-neighbour kernel: the block forms build no (block, n) pair
-    # list, the common-neighbour family scores only its support, cn and
-    # jaccard read their counts off it with no kernel pass, and no block
+    # common-neighbour pair kernel: no block form builds a pair list or
+    # calls a pair kernel, the common-neighbour family scores its support
+    # from its own walk listing with no _common_pattern pass, and no block
     # leaves its support pairs in the graph's pattern cache
     g = random_graph(600, 0.02, seed=5)
     seen = []
@@ -319,12 +319,7 @@ def test_top_c_scores_without_pair_lists(monkeypatch, method):
     monkeypatch.setattr(predictors, "_common_pattern",
                         counting(predictors._common_pattern, passes))
     assert len(top_c_recommend(g, MethodSpec(method), top_c=5)) == 600
-    A = g.to_scipy_csr()
-    if method in ("cn", "jaccard", "adamic_adar", "resource_alloc"):
-        assert 0 < sum(seen) <= (A @ A).nnz
-    else:
-        assert sum(seen) == 0
-    assert (len(passes) > 0) == (method in ("adamic_adar", "resource_alloc"))
+    assert seen == [] and passes == []
     assert g._common is None
 
 
@@ -332,10 +327,12 @@ def test_top_c_scores_without_pair_lists(monkeypatch, method):
 def test_top_c_peak_memory_within_its_stated_bound(method):
     # top_c_recommend's stated bounds, as traced numpy and scipy arrays over
     # the whole call, with the result's O(n * top_c) ids: O(block * n)
-    # words for pa's dense scores and their partition, and O(support + n)
-    # words for the common-neighbour family, which builds no (block, n)
-    # array. At n = 5,000 the bound is 82 MiB for pa and 44 MiB for the
-    # others, and one (block, n) float64 array takes 19.5 MiB.
+    # words for pa's dense scores and their partition, and O(support + n +
+    # m + _CHUNK_BUDGET) words for the common-neighbour family, which
+    # builds no (block, n) array; here a block's walks are about its
+    # support, so the walk listing fits in the support term. At n = 5,000
+    # the bound is 82 MiB for pa and 44 MiB for the others, and one
+    # (block, n) float64 array takes 19.5 MiB.
     g = generate_price(5000, 5, seed=2)
     A = g.to_scipy_csr()  # the cached matrix is the graph's
     n, block, top_c = g.num_nodes, metrics._REC_BLOCK, 50
@@ -448,17 +445,26 @@ def test_vcmpr_requires_positives():
         vcmpr_at_c(recs, [], top_c=2)
 
 
-@pytest.mark.parametrize("top_c", [0, -1, True, False, 2.5, 2.0, "2", None])
+@pytest.mark.parametrize("top_c", [0, -1, True, False, 2.5, 2.0, "2", None,
+                                   2 ** 63, np.uint64(2 ** 63)])
 def test_top_c_must_be_an_integer_of_at_least_one(top_c):
-    # a bool is not a count, and a float is not taken as one
+    # a bool is not a count, and a float is not taken as one; 2**63 is past
+    # the int64 that numpy takes a list length as, and used to raise
+    # OverflowError from np.minimum
     g = build_graph([(0, 1), (1, 2), (2, 3)])
     recs = top_c_recommend(g, MethodSpec("cn"), top_c=2)
-    message = re.escape(f"top_c must be an integer >= 1, got {top_c!r}")
+    message = re.escape(f"top_c must be an integer in [1, 2**63), got "
+                        f"{top_c!r}")
     with pytest.raises(ValueError, match=message):
         top_c_recommend(g, MethodSpec("cn"), top_c)
     with pytest.raises(ValueError, match=message):
         vcmpr_per_node(recs, [(0, 2)], top_c)
-    assert len(top_c_recommend(g, MethodSpec("cn"), np.int64(2))[0]) == 2
+    # a numpy uint64 used to turn the list lengths into floats
+    for fine in (np.int64(2), np.uint64(2)):
+        assert len(top_c_recommend(g, MethodSpec("cn"), fine)[0]) == 2
+    longest = top_c_recommend(g, MethodSpec("cn"), 2 ** 63 - 1)
+    assert [len(x) for x in longest] == [2, 1, 1, 2]
+    assert vcmpr_per_node(longest, [(0, 2)], 2 ** 63 - 1)[0][1] == 1
 
 
 def rbo_reference(a, b, p):

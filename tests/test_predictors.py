@@ -357,6 +357,18 @@ def reference_common_scores(train, arr, method):
                                  arr)
 
 
+def reference_block_common(train, lo, hi, method):
+    """_block_common before its walk listing: the support of A[lo:hi] @ A,
+    with sorted column ids, scored by reference_common_scores."""
+    A = train.to_scipy_csr()
+    S = A[lo:hi] @ A
+    S.sort_indices()
+    pairs = np.stack([np.repeat(np.arange(lo, hi), np.diff(S.indptr)),
+                      S.indices], axis=1).astype(np.int64)
+    S.data = reference_common_scores(train, pairs, method)
+    return S
+
+
 def reference_score_lpi(train, arr, epsilon):
     """_score_lpi before orientation and budgeted chunks: the A^2 row of
     each pair's first endpoint, 2**15 pairs at a time."""
@@ -597,6 +609,56 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
     assert borders >= BUDGET_BORDERS[budget], borders
 
 
+def spy_walk_chunks(monkeypatch):
+    """Record what the _chunks calls of a block form cut: "cut" when a call
+    yields more than one chunk, so that a border falls inside a block, and
+    "over" when one source's walks alone exceed the budget."""
+    seen = set()
+    chunks = predictors._chunks
+
+    def spy(cost, budget, rows=None):
+        cut = list(chunks(cost, budget, rows))
+        if len(cut) > 1:
+            seen.add("cut")
+        for lo, hi in cut:
+            if cost[lo:hi].sum() > budget:
+                assert hi - lo == 1
+                seen.add("over")
+        return iter(cut)
+
+    monkeypatch.setattr(predictors, "_chunks", spy)
+    return seen
+
+
+# budget (None: the default) -> the chunk borders that the block form of
+# every 512-source block of block_cases() and of hub_pairs()' graph must
+# cross. At 2**8 sparse_1100's largest vol2, 84, is over a quarter of it,
+# and at 2**12 the hub's, 2,102, is over a quarter of it.
+BLOCK_BORDERS = {None: set(), 1 << 8: {"cut", "over"},
+                 1 << 12: {"cut", "over"}}
+
+
+@pytest.mark.parametrize("budget", list(BLOCK_BORDERS))
+def test_block_common_equals_reference_oracle(budget, monkeypatch):
+    # bit for bit: the same index dtypes, column ids and score bytes
+    graphs = [g for g, _ in block_cases()] + [hub_pairs()[0]]
+    if budget is not None:
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
+    seen = spy_walk_chunks(monkeypatch)
+    for g in graphs:
+        for lo in range(0, g.num_nodes, 512):
+            hi = min(lo + 512, g.num_nodes)
+            for name in CN_FAMILY:
+                got = predictors.score_block(g, lo, hi, MethodSpec(name))
+                want = reference_block_common(g, lo, hi, name)
+                assert got.format == "csr" and got.shape == want.shape
+                for part in ("indptr", "indices", "data"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                        (g, lo, name, part)
+    assert seen == BLOCK_BORDERS[budget], seen
+
+
 @pytest.mark.parametrize("budget", [1 << 14, None])
 def test_lpi_peak_memory_within_its_stated_bound(budget, monkeypatch):
     # _score_lpi's O(n + pairs + _CHUNK_BUDGET) words, as traced numpy and
@@ -648,31 +710,35 @@ def test_common_neighbour_peak_memory_within_its_stated_bound(method,
 @pytest.mark.parametrize("method", CN_FAMILY)
 def test_common_neighbour_block_peak_memory_within_its_stated_bound(
         method, monkeypatch):
-    # _block_common's O(support + n + _CHUNK_BUDGET) words, with no
+    # _block_common's O(n + m + support + _CHUNK_BUDGET) words, with no
     # (block, n) array, as traced numpy and scipy arrays, on the hub block
-    # of a degree-corrected train graph. The bound is 24.4 MiB, and one
-    # dense (block, n) float64 array alone takes 19.5 MiB
+    # of a degree-corrected train graph: a chunk holds at most a share of
+    # the budget's walks, or one source's vol2 <= 2m, and here the hub's
+    # vol2 is over the whole budget. The bound is 24.5 MiB, and one dense
+    # (block, n) float64 array alone takes 19.5 MiB
     g = generate_price(5000, 5, seed=2)
     train = make_split(g, 0.25, "degree-corrected", 5).train
     A = train.to_scipy_csr()  # the cached matrix is the graph's
     lo, hi = 0, 512
     support = (A[lo:hi] @ A).nnz
-    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1 << 14)
+    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1 << 12)
+    assert (A[lo:hi] @ train.degrees).max() > predictors._CHUNK_BUDGET
     tracemalloc.start()
     try:
         predictors.score_block(train, lo, hi, MethodSpec(method))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = 16 * (support + g.num_nodes) + 2 * predictors._CHUNK_BUDGET
+    words = (16 * (support + g.num_nodes) + 2 * train.num_edges
+             + 2 * predictors._CHUNK_BUDGET)
     assert peak <= 8 * words, (peak, 8 * words)
 
 
 def test_pa_block_peak_memory_is_one_block():
     # the degree outer product taken in float64: one (block, n) float64
-    # array, plus the (block, n) bool mask of score_block's finiteness
-    # check. An int64 product cast to float64 peaked at 23.5 MiB, and the
-    # bound is 13.4 MiB
+    # array, and score_block's finiteness check takes no (block, n) bool
+    # mask. An int64 product cast to float64 peaked at 23.5 MiB, the check
+    # with a mask at 13.2 MiB, and the bound is 11.9 MiB
     g = generate_price(3000, 5, seed=2)
     n, block = g.num_nodes, 512
     tracemalloc.start()
@@ -681,7 +747,7 @@ def test_pa_block_peak_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * block * n + 64 * n, (peak, 9 * block * n + 64 * n)
+    assert peak <= 8 * block * n + 64 * n, (peak, 8 * block * n + 64 * n)
 
 
 @pytest.mark.parametrize("m, sources", [(5, 64), (5, 320), (40, 128)])
