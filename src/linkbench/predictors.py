@@ -20,15 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .graph import _as_pair_array, _is_number
 
 # One budget bounds the pair kernels' memory: the sparse row entries one
 # pair chunk may build (lpi: a quarter for rows of A^2, a quarter for its
-# lookup cells), and the uint64 words (2**21 = 16 MiB) of the
-# (nnz, S / 64) gather of one BFS level over S sources. Pair budgets of
-# 2**20 to 2**22 ran equally fast on a 500k-edge graph, but lp-large's two
-# lpi cells took 2.67 -> 2.88 s at 2**20 with a per-pair A^2 row.
+# lookup cells), and the uint64 words (2**21 = 16 MiB) that one BFS level
+# over S sources gathers, nnz * S / 64, a 32nd of them at a time. Pair
+# budgets of 2**20 to 2**22 ran equally fast on a 500k-edge graph, but
+# lp-large's two lpi cells took 2.67 -> 2.88 s at 2**20 with a per-pair
+# A^2 row.
 _CHUNK_BUDGET = 1 << 21
 
 # lrw walks a column batch as sparse columns until this share of its n * b
@@ -142,14 +144,18 @@ def _shared_pattern(train, arr):
 def _common_sum(pattern, weights):
     """sum of weights[z] over each row's z of a common-neighbour pattern.
 
-    weights[z] goes on a copy of the pattern, since eliminate_zeros
-    compacts indices and indptr in place and _column_weighted shares them.
-    Terms exactly 0 are dropped, and each row is summed by scipy's row
-    sum: np.add.reduceat over its terms in ascending z, which is neither a
-    running sum nor np.sum, and whose pairwise blocks shift when a 0.0
-    term stays. Neither endpoint order nor chunk borders move a result.
+    weights[z] goes on the pattern's indices and indptr, which
+    eliminate_zeros compacts in place: a read-only pattern, the shared
+    pair cache, is copied first, and a writable one is the caller's to
+    spend. Terms exactly 0 are dropped, and each row is summed by scipy's
+    row sum: np.add.reduceat over its terms in ascending z, which is
+    neither a running sum nor np.sum, and whose pairwise blocks shift when
+    a 0.0 term stays. Neither endpoint order nor chunk borders move a
+    result.
     """
-    terms = _column_weighted(pattern, weights).copy()
+    terms = _column_weighted(pattern, weights)
+    if not pattern.indices.flags.writeable:
+        terms = terms.copy()
     terms.eliminate_zeros()
     return np.asarray(terms.sum(axis=1)).ravel()
 
@@ -162,14 +168,15 @@ _CN_WEIGHTS = {
 }
 
 
-def _common_scores(deg, arr, pattern, method):
-    """Scores of the pairs arr from their common-neighbour pattern, whose
-    row k lists pair k's common neighbours z in ascending z: cn counts
-    them, jaccard divides the count by the union size (0 where it is
-    empty), and adamic_adar and resource_alloc sum _CN_WEIGHTS over them."""
+def _common_scores(deg, arr, method, counts, pattern=None):
+    """Scores of the pairs arr from counts[k], pair k's number of common
+    neighbours, and for adamic_adar and resource_alloc their pattern, whose
+    row k lists them in ascending z: cn is the count, jaccard divides it
+    by the union size (0 where it is empty), and adamic_adar and
+    resource_alloc sum _CN_WEIGHTS over the pattern's rows."""
     if method in _CN_WEIGHTS:
         return _common_sum(pattern, _CN_WEIGHTS[method](deg))
-    cn = np.diff(pattern.indptr).astype(np.float64)
+    cn = counts.astype(np.float64)
     if method == "cn":
         return cn
     union = deg[arr[:, 0]] + deg[arr[:, 1]] - cn
@@ -177,8 +184,9 @@ def _common_scores(deg, arr, pattern, method):
 
 
 def _score_common(train, arr, spec):
-    return _common_scores(train.degrees, arr, _shared_pattern(train, arr),
-                          spec.method)
+    pattern = _shared_pattern(train, arr)
+    return _common_scores(train.degrees, arr, spec.method,
+                          np.diff(pattern.indptr), pattern)
 
 
 def _gather_entries(Z, rows, cols, slot, buf):
@@ -273,8 +281,9 @@ def _score_lpi(train, arr, spec):
 
 
 def _bfs_batch(A):
-    """Sources per BFS batch: a multiple S of 64 whose (nnz, S / 64) level
-    gather holds at most max(_CHUNK_BUDGET, nnz) uint64 words."""
+    """Sources per BFS batch: a multiple S of 64 whose levels gather, over
+    all of their chunks, at most max(_CHUNK_BUDGET, nnz) uint64 words, the
+    (nnz, S / 64) words of one whole-level gather."""
     return 64 * max(1, _CHUNK_BUDGET // max(A.nnz, 1))
 
 
@@ -282,21 +291,34 @@ def _bfs_levels(A, sources):
     """Yield (d, words) for d = 1, 2, ... of a bit-parallel BFS from every
     node of ``sources`` (distinct ids) at once.
 
-    words is an (n, ceil(S / 64)) uint64 array: bit k of words[v, k // 64] is
-    set when node v is exactly d hops from sources[k]. Each level is one
-    gather of the frontier over A's column ids and one OR-reduction per
-    non-empty row (multi-source BFS; Then et al., PVLDB 2014). Stops when no
-    node is newly reached. Peak memory is O((n + nnz) * S / 64) words.
+    words is an (n, w) uint64 array, w = ceil(S / 64): bit k of words[v, k
+    // 64] is set when node v is exactly d hops from sources[k]. Each level
+    gathers the frontier over A's column ids and ORs it per non-empty row
+    (multi-source BFS; Then et al., PVLDB 2014), for chunks of rows that
+    _chunks cuts at deg(row) * w words, a 32nd of _CHUNK_BUDGET, so that a
+    chunk's gather stays in cache; a row over that stands alone. Stops when
+    no node is newly reached. Peak memory is O(n * w + _CHUNK_BUDGET / 32)
+    words, as a row's gather holds deg(row) * w <= n * w of them.
     """
+    width = -(-sources.size // 64)
     k = np.arange(sources.size)
-    visited = np.zeros((A.shape[0], -(-sources.size // 64)), dtype=np.uint64)
+    visited = np.zeros((A.shape[0], width), dtype=np.uint64)
     visited[sources, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
     frontier = visited.copy()
     rows = np.flatnonzero(np.diff(A.indptr))
     starts = A.indptr[rows]
+    ends = A.indptr[rows + 1]
+    # One 55-word level of an lp-price cell's train graph took 16.1 ms as
+    # one gather of 16 MiB and 5.6 ms at this budget (2**14 equal, 2**12
+    # and 2**18 7.1-7.3 ms), best of 7 on a 2-CPU host.
+    cuts = [lo for lo, _ in _chunks((ends - starts) * width,
+                                    _CHUNK_BUDGET >> 5)] + [rows.size]
     for d in itertools.count(1):
         nxt = np.zeros_like(visited)
-        nxt[rows] = np.bitwise_or.reduceat(frontier[A.indices], starts, axis=0)
+        for lo, hi in itertools.pairwise(cuts):
+            ids = A.indices[starts[lo]:ends[hi - 1]]
+            nxt[rows[lo:hi]] = np.bitwise_or.reduceat(
+                frontier[ids], starts[lo:hi] - starts[lo], axis=0)
         nxt &= ~visited
         if not nxt.any():
             return
@@ -307,9 +329,12 @@ def _bfs_levels(A, sources):
 
 def _score_shortest_path(train, arr, spec):
     A = train.to_scipy_csr()
-    # self-pairs keep d = 0 and score 0, as do pairs never reached
+    # self-pairs and pairs across components keep d = 0 and score 0; every
+    # other pair is reached, so a batch stops at its farthest pair
+    label = csgraph.connected_components(A, directed=False)[1]
     dist = np.zeros(arr.shape[0], dtype=np.float64)
-    pairs = np.flatnonzero(arr[:, 0] != arr[:, 1])
+    pairs = np.flatnonzero((arr[:, 0] != arr[:, 1])
+                           & (label[arr[:, 0]] == label[arr[:, 1]]))
     uniq, src_of = np.unique(arr[pairs, 0], return_inverse=True)
     for lo, hi in _chunks(np.ones(uniq.size, dtype=np.int64), _bfs_batch(A)):
         sel = (src_of >= lo) & (src_of < hi)
@@ -402,9 +427,12 @@ def _block_pa(train, lo, hi, spec):
 
 def _walk_scores(train, lo, hi, method):
     """Scores of sources lo..hi-1 on their support, as a CSR matrix with
-    sorted column ids, in O(walks + n) words. A stable sort by (i, j) of
-    their walks i - z - j, z in N(i) ascending and j in N(z), gives each
-    support pair its _common_pattern row, in ascending z."""
+    sorted column ids, in O(walks + n) words. Their walks i - z - j, z in
+    N(i) ascending and j in N(z), are keyed by (i, j): a group of equal
+    keys is a support pair, and its size the pair's common-neighbour
+    count. cn and jaccard read only that, so one plain sort groups the
+    keys; adamic_adar and resource_alloc sort them stably, which gives
+    each pair its _common_pattern row, in ascending z."""
     ptr, ids, deg = train.indptr, train.indices, train.degrees
     n = train.num_nodes
     z = ids[ptr[lo]:ptr[hi]]
@@ -414,20 +442,33 @@ def _walk_scores(train, lo, hi, method):
     key += np.arange(key.size)
     key = ids[key]
     key += np.repeat(np.repeat(np.arange(hi - lo) * n, deg[lo:hi]), run)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    weighted = method in _CN_WEIGHTS
+    if weighted:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    else:
+        # the 4 blocks of the rec-lfr train graph sort their keys in 1.9
+        # ms this way, and took 6.7 ms by stable argsort and gather
+        key.sort()
     heads = np.flatnonzero(np.diff(key, prepend=-1))
-    arr = np.stack(np.divmod(key[heads], n), axis=1)
+    arr = np.empty((heads.size, 2), dtype=key.dtype)
+    np.divmod(key[heads], n, out=(arr[:, 0], arr[:, 1]))
     arr[:, 0] += lo
+    bounds = np.append(heads, key.size)
     # each walk-sized array is dropped once read: resource_alloc's hub
     # block of a Price 30,000 train graph peaked at 47.4 MiB under
     # tracemalloc with them kept and 35.8 MiB without
-    del key
-    pattern = sparse.csr_matrix(
-        (np.ones(order.size, dtype=bool), np.repeat(z, run)[order],
-         np.append(heads, order.size)), shape=(heads.size, n))
-    del order, heads
-    scores = _common_scores(deg, arr, pattern, method)
+    del key, heads
+    counts = pattern = None
+    if weighted:
+        pattern = sparse.csr_matrix(
+            (np.ones(order.size, dtype=bool), np.repeat(z, run)[order],
+             bounds), shape=(bounds.size - 1, n))
+        del order
+    else:
+        counts = np.diff(bounds)
+    del bounds
+    scores = _common_scores(deg, arr, method, counts, pattern)
     return sparse.csr_matrix(
         (scores, arr[:, 1], np.searchsorted(arr[:, 0], np.arange(lo, hi + 1))),
         shape=(hi - lo, n))
@@ -459,16 +500,44 @@ def _block_lpi(train, lo, hi, spec):
 
 
 def _block_shortest_path(train, lo, hi, spec):
+    """Block form of shortest_path, by BFS batches of S sources. Each level
+    d is ORed into the bit planes of d: plane i holds the levels whose bit
+    i is set. After the BFS each of its b = ceil(log2(D + 1)) planes, D
+    the batch's last level, is unpacked once into an (n, S) array of hop
+    counts in the smallest unsigned type that holds D, which one transpose
+    turns into 1 / d through a table of the D + 1 reciprocals. Peak memory
+    is the (hi - lo, n) float64 block plus O(n * S) bytes and O(b * n * S
+    / 64 + n * 64 + _CHUNK_BUDGET / 32) words.
+    """
     A = train.to_scipy_csr()
-    dist = np.zeros((hi - lo, train.num_nodes), dtype=np.float64)
-    ones = np.ones(hi - lo, dtype=np.int64)
-    for b_lo, b_hi in _chunks(ones, _bfs_batch(A)):
-        for d, words in _bfs_levels(A, np.arange(lo + b_lo, lo + b_hi)):
-            octets = words.astype("<u8", copy=False).view(np.uint8)
-            bits = np.unpackbits(octets, axis=1, count=b_hi - b_lo,
-                                 bitorder="little")
-            dist[b_lo:b_hi][bits.T.view(bool)] = d
-    return _reciprocal(dist)
+    n = train.num_nodes
+    out = np.empty((hi - lo, n), dtype=np.float64)
+    for b_lo, b_hi in _chunks(np.ones(hi - lo, dtype=np.int64), _bfs_batch(A)):
+        size = b_hi - b_lo
+        planes, far = [], 0
+        for far, words in _bfs_levels(A, np.arange(lo + b_lo, lo + b_hi)):
+            if far.bit_length() > len(planes):
+                planes.append(np.zeros_like(words))
+            for i, plane in enumerate(planes):
+                if far >> i & 1:
+                    plane |= words
+        # hops[v, k] is node v's distance from source lo + b_lo + k, and 0
+        # where v is that source or is not reached from it
+        hops = np.zeros((n, size), dtype=np.min_scalar_type(far))
+        for i, plane in enumerate(planes):
+            octets = plane.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(octets, axis=1, count=size, bitorder="little")
+            hops |= bits.astype(hops.dtype, copy=False) << i
+        # take copies its index as intp, so 64 sources go at a time; clip
+        # mode (every d is in range) writes to the block unbuffered. On a
+        # 512 x 2,000 block, rec-lfr's size, a cast and masked divide took
+        # 10 ms and this 2 ms.
+        recip = _reciprocal(np.arange(far + 1))
+        rows = out[b_lo:b_hi]
+        for c in range(0, size, 64):
+            np.take(recip, hops[:, c:c + 64].T, out=rows[c:c + 64],
+                    mode="clip")
+    return out
 
 
 def _block_lrw(train, lo, hi, spec):
@@ -531,7 +600,11 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     from them through a lookup buffer that an n-sized array keys by
     compact column; its peak memory is O(n + pairs + _CHUNK_BUDGET) words.
     lrw adds O(n * b) floats for its walk of b = max(16, min(256, 2e7 //
-    n)) columns at a time.
+    n)) columns at a time. shortest_path labels the train graph's
+    components once, so that pairs across them, which score 0, start no
+    BFS, and runs its BFS in batches of S sources: O(n * S / 64 +
+    _CHUNK_BUDGET / 32) words per batch, with S / 64 = max(1,
+    _CHUNK_BUDGET // nnz).
 
     Raises ValueError for a malformed pair array or ids outside the train
     graph, and ArithmeticError if the kernel yields a non-finite score.
@@ -553,9 +626,10 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec):
     (densified) is bit-identical to score_method on the block's row-major
     pair list, reshaped, but no such list is built. Peak memory is
     O((hi - lo) * n) for a dense block, plus O(n * b) floats for lrw's
-    walk of b = max(16, min(256, 2e7 // n)) columns at a time and for
-    shortest_path a BFS level gather of at most max(_CHUNK_BUDGET, nnz)
-    words with level arrays n / nnz its size. The common-neighbour family
+    walk of b = max(16, min(256, 2e7 // n)) columns at a time, and for
+    shortest_path O(n * S) bytes of hop counts and O(b * n * S / 64 + n *
+    64 + _CHUNK_BUDGET / 32) words for a BFS batch of S <= hi - lo sources
+    whose farthest node lies below 2^b hops. The common-neighbour family
     builds no (hi - lo, n) array: it lists the walks i - z - j of chunks of
     sources, at most a quarter of _CHUNK_BUDGET walks or one source's vol2
     <= 2m, and takes O(n + m + support + _CHUNK_BUDGET) words.

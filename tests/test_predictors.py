@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -308,11 +309,20 @@ def bfs_cases():
     return cases
 
 
-@pytest.mark.parametrize("tiny_batches", [False, True])
-def test_bfs_equals_dijkstra(tiny_batches, monkeypatch):
-    if tiny_batches:
-        # 64 sources per batch, so 65 and 129 sources cross batch borders
-        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1)
+# _CHUNK_BUDGET (None: the default) -> what it adds: at 2**10 the small
+# graphs keep batches of 128 sources or more but cut their levels at 32
+# words, so that chunk borders fall mid-graph and rows of degree over 16
+# stand alone; at 1 every batch holds 64 sources, which 65 and 129 sources
+# cross, and every row is a chunk of its own
+BFS_BUDGETS = {"default": None, "32-word levels": 1 << 10,
+               "64-source batches": 1}
+
+
+@pytest.mark.parametrize("budget", list(BFS_BUDGETS.values()),
+                         ids=list(BFS_BUDGETS))
+def test_bfs_equals_dijkstra(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
     spec = MethodSpec("shortest_path")
     for g, pair_sets, blocks in bfs_cases():
         for pairs in pair_sets:
@@ -323,6 +333,153 @@ def test_bfs_equals_dijkstra(tiny_batches, monkeypatch):
                 dijkstra_distances(g, np.arange(lo, hi)))
             assert np.array_equal(predictors.score_block(g, lo, hi, spec),
                                   want), (g, lo, hi)
+
+
+def reference_bfs_levels(A, sources):
+    """_bfs_levels before chunked levels: each level one gather of the
+    frontier over all of A's column ids, and one OR-reduction per
+    non-empty row."""
+    k = np.arange(sources.size)
+    visited = np.zeros((A.shape[0], -(-sources.size // 64)), dtype=np.uint64)
+    visited[sources, k // 64] = np.uint64(1) << (k % 64).astype(np.uint64)
+    frontier = visited.copy()
+    rows = np.flatnonzero(np.diff(A.indptr))
+    starts = A.indptr[rows]
+    for d in itertools.count(1):
+        nxt = np.zeros_like(visited)
+        nxt[rows] = np.bitwise_or.reduceat(frontier[A.indices], starts, axis=0)
+        nxt &= ~visited
+        if not nxt.any():
+            return
+        visited |= nxt
+        yield d, nxt
+        frontier = nxt
+
+
+def bfs_level_cases():
+    """(A, sources) inputs of the level oracle test: each graph of
+    bfs_cases() from all of its nodes, from 65 of them and from its last,
+    and a Price 5,000 graph from 200 nodes and from its hub and 128 more."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for g, _, _ in bfs_cases():
+        n = g.num_nodes
+        for sources in (np.arange(n), rng.permutation(n)[:65], [n - 1]):
+            cases.append((g.to_scipy_csr(), np.asarray(sources)))
+    g = generate_price(5000, 5, seed=2)
+    hub = int(np.argmax(g.degrees))
+    others = rng.permutation(np.flatnonzero(np.arange(5000) != hub))
+    cases.append((g.to_scipy_csr(), others[:200]))
+    cases.append((g.to_scipy_csr(), np.append(hub, others[200:328])))
+    return cases
+
+
+# level budget rule (None: the default) -> the _chunks borders it must
+# cross over all cases: one word under the costliest row's gather leaves
+# that row, a hub's on the Price graph, alone; a fifth of a level's words
+# puts borders mid-graph
+LEVEL_BUDGETS = {
+    "default": (None, set()),
+    "hub alone": (lambda cost: cost.max() - 1, {"cut", "over"}),
+    "fifth": (lambda cost: cost.sum() // 5, {"cut"}),
+}
+
+
+@pytest.mark.parametrize("rule, borders", list(LEVEL_BUDGETS.values()),
+                         ids=list(LEVEL_BUDGETS))
+def test_chunked_levels_equal_whole_level_oracle(rule, borders, monkeypatch):
+    # the same words at every level, and the same number of levels
+    seen = spy_chunks(monkeypatch)
+    for A, sources in bfs_level_cases():
+        if rule is not None:
+            # each non-empty row's gather of deg(row) * ceil(S / 64) words
+            deg = np.diff(A.indptr)
+            cost = deg[deg > 0] * -(-len(sources) // 64)
+            level_budget = rule(cost) if cost.size else 0
+            monkeypatch.setattr(predictors, "_CHUNK_BUDGET", level_budget << 5)
+        want = [(d, words.copy()) for d, words in
+                reference_bfs_levels(A, sources)]
+        got = [(d, words.copy()) for d, words in
+               predictors._bfs_levels(A, sources)]
+        assert len(got) == len(want), (A.shape, len(sources))
+        for (d, words), (e, other) in zip(got, want):
+            assert d == e and words.dtype == other.dtype
+            assert np.array_equal(words, other), (A.shape, len(sources), d)
+    assert seen >= borders, seen
+
+
+def spy_bfs_levels(monkeypatch):
+    """Record the levels that each _bfs_levels call yields: one list per
+    call, in call order."""
+    calls = []
+    levels = predictors._bfs_levels
+
+    def spy(A, sources):
+        calls.append([])
+        for d, words in levels(A, sources):
+            calls[-1].append(d)
+            yield d, words
+
+    monkeypatch.setattr(predictors, "_bfs_levels", spy)
+    return calls
+
+
+def farthest_per_batch(dist, sources, batch):
+    """The largest finite hop count from each batch of the sorted distinct
+    sources, cut into runs of batch, as the BFS routes cut them: the last
+    level that a batch's BFS reaches."""
+    uniq = np.unique(sources)
+    reached = np.where(np.isinf(dist), -1, dist)
+    return [int(reached[uniq[lo:lo + batch]].max())
+            for lo in range(0, uniq.size, batch)]
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default",
+                                                   "64-source batches"])
+def test_bfs_runs_no_level_past_its_farthest_reachable_pair(budget,
+                                                             monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
+    spec = MethodSpec("shortest_path")
+    # bfs_cases()' two components of 100 nodes, then ids 200..209 isolated.
+    # Each source pairs with a node of the other component and an isolated
+    # id, and 180 of them with a node 1 or 2 hops away too.
+    cases = bfs_cases()
+    g = cases[0][0]
+    dist = dijkstra_distances(g, np.arange(g.num_nodes))
+    rng = np.random.default_rng(9)
+    pairs, reach = [(4, 4), (205, 3), (207, 207)], []
+    for k, s in enumerate(rng.permutation(200)):
+        near = np.flatnonzero((dist[s] >= 1) & (dist[s] <= 2))
+        if k < 180 and near.size:
+            reach.append((s, rng.choice(near)))
+        pairs += [(s, (s + 100) % 200), (s, 200 + s % 10)]
+    pairs = np.array(pairs + reach)[rng.permutation(len(pairs) + len(reach))]
+    calls = spy_bfs_levels(monkeypatch)
+    assert np.array_equal(score_method(g, pairs, spec),
+                          dijkstra_pair_scores(g, pairs))
+    # only sources with a reachable pair start a BFS, and each batch stops
+    # at its farthest such pair, short of the last level it could reach
+    reach = np.array(reach)
+    uniq = np.unique(reach[:, 0])
+    batch = predictors._bfs_batch(g.to_scipy_csr())
+    hops = dist[reach[:, 0], reach[:, 1]]
+    far = [int(hops[np.isin(reach[:, 0], uniq[lo:lo + batch])].max())
+           for lo in range(0, uniq.size, batch)]
+    assert calls == [list(range(1, f + 1)) for f in far], (calls, far)
+    assert all(f < last for f, last in
+               zip(far, farthest_per_batch(dist, uniq, batch)))
+    # the path's block from node 0 runs 299 levels: hop counts of 256 and
+    # more take uint16 planes, and must not wrap
+    path = cases[4][0]
+    dist = dijkstra_distances(path, np.arange(path.num_nodes))
+    calls.clear()
+    got = predictors.score_block(path, 0, 300, spec)
+    assert np.array_equal(got, predictors._reciprocal(dist))
+    assert got[0, 299] == 1 / 299 and got[299, 0] == 1 / 299
+    want = farthest_per_batch(dist, np.arange(300),
+                              predictors._bfs_batch(path.to_scipy_csr()))
+    assert calls == [list(range(1, f + 1)) for f in want] and max(want) == 299
 
 
 def reference_overlap_sum(A, B, arr):
@@ -609,10 +766,11 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
     assert borders >= BUDGET_BORDERS[budget], borders
 
 
-def spy_walk_chunks(monkeypatch):
-    """Record what the _chunks calls of a block form cut: "cut" when a call
-    yields more than one chunk, so that a border falls inside a block, and
-    "over" when one source's walks alone exceed the budget."""
+def spy_chunks(monkeypatch):
+    """Record what the _chunks calls of a kernel cut: "cut" when a call
+    yields more than one chunk, so that a border falls inside a block or a
+    BFS level, and "over" when one item, a source's walks or a row's
+    gather, alone exceeds the budget."""
     seen = set()
     chunks = predictors._chunks
 
@@ -644,7 +802,7 @@ def test_block_common_equals_reference_oracle(budget, monkeypatch):
     graphs = [g for g, _ in block_cases()] + [hub_pairs()[0]]
     if budget is not None:
         monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
-    seen = spy_walk_chunks(monkeypatch)
+    seen = spy_chunks(monkeypatch)
     for g in graphs:
         for lo in range(0, g.num_nodes, 512):
             hi = min(lo + 512, g.num_nodes)
@@ -707,30 +865,39 @@ def test_common_neighbour_peak_memory_within_its_stated_bound(method,
     assert peak <= 8 * words, (peak, 8 * words)
 
 
+@pytest.mark.parametrize("budget", [1 << 12, None], ids=["hub over budget",
+                                                     "default"])
 @pytest.mark.parametrize("method", CN_FAMILY)
 def test_common_neighbour_block_peak_memory_within_its_stated_bound(
-        method, monkeypatch):
+        method, budget, monkeypatch):
     # _block_common's O(n + m + support + _CHUNK_BUDGET) words, with no
     # (block, n) array, as traced numpy and scipy arrays, on the hub block
-    # of a degree-corrected train graph: a chunk holds at most a share of
-    # the budget's walks, or one source's vol2 <= 2m, and here the hub's
-    # vol2 is over the whole budget. The bound is 24.5 MiB, and one dense
-    # (block, n) float64 array alone takes 19.5 MiB
+    # of a degree-corrected train graph: a chunk lists at most a quarter of
+    # the budget's walks, or one source's vol2 <= 2m. At 2**12 the hub's
+    # vol2 is over the whole budget; at the default the block is one chunk
+    # of 223,787 walks. The bound is 8 words per support pair, 1 per walk
+    # of the largest chunk and 2 per node and edge, 1.81M words at the
+    # default: one dense (block, n) float64 array alone takes 2.56M, and a
+    # copy of resource_alloc's weighted pattern, private to its chunk, took
+    # it to 1.95M (1.74M without).
     g = generate_price(5000, 5, seed=2)
     train = make_split(g, 0.25, "degree-corrected", 5).train
     A = train.to_scipy_csr()  # the cached matrix is the graph's
     lo, hi = 0, 512
     support = (A[lo:hi] @ A).nnz
-    monkeypatch.setattr(predictors, "_CHUNK_BUDGET", 1 << 12)
-    assert (A[lo:hi] @ train.degrees).max() > predictors._CHUNK_BUDGET
+    if budget is not None:
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
+        assert (A[lo:hi] @ train.degrees).max() > budget
+    vol2 = (A[lo:hi] @ train.degrees).astype(np.int64)
+    walks = max(vol2[a:b].sum() for a, b in
+                predictors._chunks(vol2 + 1, predictors._CHUNK_BUDGET // 4))
     tracemalloc.start()
     try:
         predictors.score_block(train, lo, hi, MethodSpec(method))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = (16 * (support + g.num_nodes) + 2 * train.num_edges
-             + 2 * predictors._CHUNK_BUDGET)
+    words = 8 * support + walks + 2 * (g.num_nodes + train.num_edges)
     assert peak <= 8 * words, (peak, 8 * words)
 
 
@@ -750,15 +917,27 @@ def test_pa_block_peak_memory_is_one_block():
     assert peak <= 8 * block * n + 64 * n, (peak, 8 * block * n + 64 * n)
 
 
-@pytest.mark.parametrize("m, sources", [(5, 64), (5, 320), (40, 128)])
-def test_bfs_level_gather_peak_memory_within_its_stated_bound(m, sources):
-    # _bfs_levels' O((n + nnz) * S / 64) words for S sources, as traced
-    # numpy arrays, with each level dropped before the next; levels held
-    # as one bool per source would take 8 times the words
+# (m, sources, _CHUNK_BUDGET or None for the default) of the level memory
+# test: at 2**15 the level budget is 1,024 words, under the hub row's
+# gather of 1,416 at m = 40, and at 2**10 it is 32 words, a chunk per row
+@pytest.mark.parametrize("m, sources, budget", [
+    (5, 64, None), (5, 320, None), (40, 128, None), (40, 128, 1 << 15),
+    (5, 64, 1 << 10)])
+def test_bfs_level_gather_peak_memory_within_its_stated_bound(
+        m, sources, budget, monkeypatch):
+    # _bfs_levels' O(n * S / 64 + _CHUNK_BUDGET / 32) words for S sources,
+    # as traced numpy arrays, with each level dropped before the next: four
+    # (n, S / 64) level arrays, the row bookkeeping, and one chunk's gather
+    # and OR, of at most the level budget or one row's words. One gather
+    # over all of A took 849,567 words at m = 40, against a bound of 211k.
     g = generate_price(5000, m, seed=2)
     A = g.to_scipy_csr()
+    if budget is not None:
+        monkeypatch.setattr(predictors, "_CHUNK_BUDGET", budget)
     picked = np.random.default_rng(0).choice(g.num_nodes, sources,
                                              replace=False)
+    width = -(-sources // 64)
+    row = max(predictors._CHUNK_BUDGET >> 5, g.degrees.max() * width)
     tracemalloc.start()
     try:
         for _, words in predictors._bfs_levels(A, picked):
@@ -766,8 +945,36 @@ def test_bfs_level_gather_peak_memory_within_its_stated_bound(m, sources):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 3 * (g.num_nodes + A.nnz) * -(-sources // 64)
+    bound = 4 * g.num_nodes * width + 8 * g.num_nodes + 2 * row
     assert peak <= 8 * bound, (peak, 8 * bound)
+
+
+@pytest.mark.parametrize("graph, lo, hi", [
+    ("price", 0, 512), ("price", 1000, 1100), ("path", 0, 300)])
+def test_bit_plane_block_peak_memory_within_its_stated_bound(graph, lo, hi):
+    # _block_shortest_path's (hi - lo, n) float64 block plus O(n * S)
+    # bytes and O(b * n * S / 64 + n * 64 + _CHUNK_BUDGET / 32) words, as
+    # traced numpy arrays, for a batch of S = hi - lo sources and b bit
+    # planes: the path's block has 9, and uint16 hop counts. A float
+    # distance block written level by level and then inverted into a
+    # second one peaked at 2.27 blocks on the Price graph; the bound is 1.84
+    # at 512 sources, and 1.44 was measured
+    g = (generate_price(3000, 5, seed=2) if graph == "price"
+         else build_graph([(i, i + 1) for i in range(299)]))
+    A = g.to_scipy_csr()  # the cached matrix is the graph's
+    n, size = g.num_nodes, hi - lo
+    assert size <= predictors._bfs_batch(A)
+    planes = int(dijkstra_distances(g, np.arange(lo, hi)).max()).bit_length()
+    tracemalloc.start()
+    try:
+        predictors.score_block(g, lo, hi, MethodSpec("shortest_path"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = ((planes + 5) * n * -(-size // 64) + 64 * n
+             + 2 * (predictors._CHUNK_BUDGET >> 5))
+    bound = 8 * size * n + 4 * n * size + 8 * words
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 5])
