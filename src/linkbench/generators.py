@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -291,9 +291,19 @@ def degree_sequence_graph(degrees, seed) -> Graph:
     Stubs are matched uniformly at random; self-loops and repeated edges
     are rejected and rewired over up to 100 sweeps, and any stubs that
     still cannot be placed are dropped. Realized degrees can therefore sit
-    slightly below the targets.
+    slightly below the targets. A bool or a fractional or non-finite degree
+    raises ValueError naming it; a whole float counts as its integer.
     """
-    deg = np.asarray(degrees, dtype=np.int64)
+    if not isinstance(degrees, np.ndarray):
+        degrees = np.array(degrees, object)  # a bool stays a bool
+    if degrees.dtype.kind not in "iu":
+        for v in degrees.ravel().tolist():
+            if (isinstance(v, (float, np.floating)) and np.isfinite(v)
+                    and v == int(v)):
+                continue  # a whole float counts
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"degree {v!r} is not an integer")
+    deg = degrees.astype(np.int64)
     if deg.size == 0 or (deg < 0).any():
         raise ValueError("degrees must be a non-empty, non-negative sequence")
     rng = np.random.default_rng(seed)
@@ -327,6 +337,13 @@ class LfrParams:
     max_comm: int
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_number(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if not _is_number(value):
+                raise ValueError(
+                    f"{f.name} must be a finite number, got {value!r}")
         if not 1 <= self.n <= _MAX_NODES:
             raise ValueError(f"n must be in [1, {_MAX_NODES}], got {self.n}")
         if self.tau1 <= 1 or self.tau2 <= 1:

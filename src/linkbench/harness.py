@@ -283,6 +283,8 @@ def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
     mean first, the failed cells and, when both tasks run, the RBO of every
     sampler's rankings against the recommendation rankings.
     """
+    if not _is_number(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     graphs = {src.graph_id: src.load() for src in config.graphs}
     tasks = [t for t in TASKS if t in config.tasks]
     cells = [(task, gid, sampler, rep)
@@ -317,7 +319,7 @@ def run_evaluation(config: BenchmarkConfig, jobs: int = 1) -> dict:
         return rows
 
     items = list(zip(cells, seeds))
-    if jobs <= 1:
+    if jobs == 1:  # Ctrl-C stops a serial run at once
         results = [worker(item) for item in items]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -43,11 +43,10 @@ def _check_top_c(top_c) -> int:
 
 
 # sources scored per score_block call in top_c_recommend. A dense block
-# and its partition copy take 16 bytes per cell, 16 MiB at n = 2,000 (lpi's
-# block form holds three float64 blocks while it scores); sizing from
-# predictors._CHUNK_BUDGET, 2**21 / n, would give rec-lfr blocks of 1,048
-# sources and double that. The common-neighbour family's support route
-# takes no (block, n) array at any block size.
+# and its partition copy take 16 bytes per cell, 16 MiB at n = 2,000;
+# sizing from predictors._CHUNK_BUDGET, 2**21 / n, would give rec-lfr
+# blocks of 1,048 sources and double that. The common-neighbour family's
+# support route takes no (block, n) array at any block size.
 _REC_BLOCK = 512
 
 
@@ -64,10 +63,10 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     - a dense (block, n) block (pa, lpi, shortest_path, lrw): its negated
       scores, self and neighbours masked to +inf, are cut at each row's
       C-th smallest value (np.partition), and the entries below the cut,
-      plus the smallest ids at it, are ranked. Peak memory is O(block * n)
-      for the scores and the partition's copy, plus what score_block
-      takes (lrw's O(n * b) column walk of b = max(16, min(256, 2e7 //
-      n)) columns);
+      plus the smallest ids at it, are ranked. One (block, n) float64
+      array is alive at a time, beside _top_dense's partition copy or what
+      score_block takes to build it (lrw's O(n * b) walk, lpi's sparse
+      terms, shortest_path's bit planes);
     - a CSR block of the support of A[blk] @ A (cn, jaccard, adamic_adar,
       resource_alloc), every other score exactly 0, scored from a listing
       of the block's walks i - z - j, a chunk of sources at a time: the
@@ -95,6 +94,7 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
         # slices, not np.split, which takes ~4 times as long per row
         items.extend(ids[a:b] for a, b in zip((ends - keep).tolist(),
                                                ends.tolist()))
+        del scores  # one block alive while the next is scored
     return items
 
 

@@ -494,9 +494,10 @@ def _block_common(train, lo, hi, spec):
 
 
 def _block_lpi(train, lo, hi, spec):
+    # where one term is not stored the sum is the other, as x + 0.0 is x
     A = train.to_scipy_csr()
     paths2 = A[lo:hi] @ A
-    return paths2.toarray() + spec.epsilon * (paths2 @ A).toarray()
+    return (paths2 + spec.epsilon * (paths2 @ A)).toarray()
 
 
 def _block_shortest_path(train, lo, hi, spec):
@@ -543,22 +544,19 @@ def _block_shortest_path(train, lo, hi, spec):
 def _block_lrw(train, lo, hi, spec):
     n = train.num_nodes
     q, PT = _lrw_operators(train)
-    # with W = (P^T)^(s-1): fwd[:, r] is column lo + r of P^T @ W and
-    # bwd[r] its row lo + r
-    fwd = np.empty((n, hi - lo), dtype=np.float64)
-    bwd = np.empty((hi - lo, n), dtype=np.float64)
+    # with W = (P^T)^(s-1), entry (i, j) is q_j (P^T @ W)[i, j] + q_i (P^T @
+    # W)[j, i], each term added to +0.0 as its batch is walked: the first add
+    # is exact and the float sum commutes, so it rounds once either way
+    out = np.zeros((hi - lo, n), dtype=np.float64)
     rows = PT[lo:hi]
     for c_lo, c_hi, W in _walk_columns(PT, np.arange(n), spec.walk_steps - 1):
+        out[:, c_lo:c_hi] += (rows @ W) * q[c_lo:c_hi]
         a, b = max(lo, c_lo), min(hi, c_hi)
         if a < b:
-            fwd[:, a - lo:b - lo] = PT @ W[:, a - c_lo:b - c_lo]
-        bwd[:, c_lo:c_hi] = rows @ W
+            out[a - lo:b - lo] += (q[a:b, None]
+                                   * (PT @ W[:, a - c_lo:b - c_lo]).T)
         del W  # one batch alive while the next is walked
-    # q_i fwd + q_j bwd in either order of the (commutative) float sum; a
-    # contiguous copy of fwd.T halves the time of its strided read
-    bwd *= q[None, :]
-    bwd += q[lo:hi, None] * np.ascontiguousarray(fwd.T)
-    return bwd
+    return out
 
 
 # method -> (pair kernel, block form), equal bit for bit
@@ -624,15 +622,16 @@ def score_block(train, lo: int, hi: int, spec: MethodSpec):
 
     Row r, column j holds the score of the pair (lo + r, j): the result
     (densified) is bit-identical to score_method on the block's row-major
-    pair list, reshaped, but no such list is built. Peak memory is
-    O((hi - lo) * n) for a dense block, plus O(n * b) floats for lrw's
-    walk of b = max(16, min(256, 2e7 // n)) columns at a time, and for
-    shortest_path O(n * S) bytes of hop counts and O(b * n * S / 64 + n *
-    64 + _CHUNK_BUDGET / 32) words for a BFS batch of S <= hi - lo sources
-    whose farthest node lies below 2^b hops. The common-neighbour family
-    builds no (hi - lo, n) array: it lists the walks i - z - j of chunks of
-    sources, at most a quarter of _CHUNK_BUDGET walks or one source's vol2
-    <= 2m, and takes O(n + m + support + _CHUNK_BUDGET) words.
+    pair list, reshaped, but no such list is built. A dense block form
+    builds only the (hi - lo, n) float64 array it returns, beside lrw's
+    O(n * b) floats of walk, b = max(16, min(256, 2e7 // n)) columns at a
+    time, lpi's sparse A^2 and A^3 rows, and shortest_path's O(n * S)
+    bytes of hop counts and O(b * n * S / 64 + n * 64 + _CHUNK_BUDGET / 32)
+    words for a BFS batch of S <= hi - lo sources whose farthest node lies
+    below 2^b hops. The common-neighbour family builds no (hi - lo, n)
+    array: it lists the walks i - z - j of chunks of sources, at most a
+    quarter of _CHUNK_BUDGET walks or one source's vol2 <= 2m, and takes
+    O(n + m + support + _CHUNK_BUDGET) words.
 
     Raises ValueError unless lo and hi are integers with 0 <= lo <= hi <=
     n, and ArithmeticError if the block holds a non-finite score.

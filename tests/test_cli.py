@@ -53,6 +53,19 @@ def test_generate_lfr_writes_labels(tmp_path, run_cli):
     assert [int(r[0]) for r in rows] == list(range(400))
 
 
+def test_generate_lfr_rejects_a_nan_exponent_naming_it(tmp_path, run_cli):
+    # it used to fail in the degree law, with "target mean 6.0 is outside
+    # the achievable range [nan, 20]"
+    out = tmp_path / "lfr.edges"
+    res = run_cli("generate", "lfr", "--n", "100", "--tau1", "nan",
+                  "--tau2", "3", "--mu", "0.2", "--avg-degree", "6",
+                  "--max-degree", "20", "--min-comm", "30",
+                  "--max-comm", "60", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == "error: tau1 must be a finite number, got nan\n"
+    assert not out.exists()
+
+
 def test_split_writes_files_and_sidecar(tmp_path, run_cli):
     graph_file = tmp_path / "g.edges"
     run_cli("generate", "price", "--n", "300", "--m", "4", "--seed", "1",
@@ -258,6 +271,23 @@ def test_evaluate_bad_config_exits_two(tmp_path, run_cli):
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and "m_per_node" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_evaluate_rejects_jobs_below_one(tmp_path, run_cli, jobs):
+    # both used to run serially
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps({
+        "graphs": [{"id": "p", "generator": {"kind": "price", "n": 50,
+                                             "m_per_node": 2}}],
+        "methods": ["pa"]}))
+    out = tmp_path / "rows.csv"
+    res = run_cli("evaluate", "--config", str(cfg_file), "--out", str(out),
+                  "--summary", str(tmp_path / "summary.json"),
+                  "--jobs", jobs)
+    assert res.returncode == 2
+    assert res.stderr == f"error: jobs must be an integer >= 1, got {jobs}\n"
+    assert not out.exists()
 
 
 def test_evaluate_bad_recipe_value_exits_two(tmp_path, capsys):

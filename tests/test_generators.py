@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
@@ -255,6 +257,25 @@ def test_lfr_params_reject_node_counts_outside_the_id_range(n):
         LfrParams(mu=0.3, **dict(BASE, n=n))
 
 
+@pytest.mark.parametrize("change, message", [
+    # each used to fail later, elsewhere, or not at all: tau1 in the
+    # degree law's achievable range, tau2 inside numpy's choice, the
+    # fractional counts built a graph, and n raised numpy's TypeError
+    ({"tau1": float("nan")}, "tau1 must be a finite number, got nan"),
+    ({"tau2": float("nan")}, "tau2 must be a finite number, got nan"),
+    ({"max_degree": 20.5}, "max_degree must be an integer, got 20.5"),
+    ({"min_comm": 10.5}, "min_comm must be an integer, got 10.5"),
+    ({"n": 100.5}, "n must be an integer, got 100.5"),
+    ({"max_comm": 1000.0}, "max_comm must be an integer, got 1000.0"),
+    ({"mu": True}, "mu must be a finite number, got True"),
+    ({"avg_degree": float("inf")}, "avg_degree must be a finite number, got inf"),
+    ({"mu": "0.3"}, "mu must be a finite number, got '0.3'"),
+])
+def test_lfr_params_check_each_field_against_its_annotation(change, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LfrParams(**{**BASE, "mu": 0.3, **change})
+
+
 def test_lfr_mu_zero_is_disjoint_union_of_communities():
     params = LfrParams(mu=0.0, **dict(BASE, max_degree=90))
     g, labels = generate_lfr(params, seed=5)
@@ -303,6 +324,25 @@ def test_degree_sequence_graph_realizes_easy_sequence():
     degrees = np.full(200, 4)
     g = degree_sequence_graph(degrees, seed=11)
     assert np.array_equal(np.sort(g.degrees), np.sort(degrees))
+
+
+@pytest.mark.parametrize("degrees, bad", [
+    ([1.7, 2.2, 1.1], "1.7"), ([True, 1], "True"), ([2, float("nan")], "nan"),
+    ([1, float("inf")], "inf"), (np.array([1.5, 2.0]), "1.5"),
+    (np.array([True, True]), "True"), ([1, "2"], "'2'")])
+def test_degree_sequence_graph_rejects_non_integer_degrees(degrees, bad):
+    # [1.7, 2.2, 1.1] used to be truncated to [1, 2, 1], and [True, 1]
+    # built a graph
+    with pytest.raises(ValueError, match=f"^degree {re.escape(bad)} is not "
+                                         f"an integer$"):
+        degree_sequence_graph(degrees, seed=0)
+
+
+def test_degree_sequence_graph_takes_whole_floats_as_integers():
+    want = degree_sequence_graph(np.full(200, 4), seed=11)
+    for degrees in ([4.0] * 200, np.full(200, 4.0)):
+        got = degree_sequence_graph(degrees, seed=11)
+        assert np.array_equal(got.edge_array(), want.edge_array())
 
 
 def test_stub_loss_warning_points_at_the_caller():

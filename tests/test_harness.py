@@ -430,6 +430,18 @@ def test_run_evaluation_loads_each_graph_once(monkeypatch):
             **rec_only["summary"]["rankings"][gid]}
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2", None])
+def test_run_evaluation_rejects_jobs_that_are_not_integers_of_one_or_more(
+        jobs, monkeypatch):
+    # 0 and -3 used to run serially; the check comes before any graph loads
+    cfg = BenchmarkConfig(graphs=(price_source("g"),),
+                          methods=(MethodSpec("pa"),))
+    monkeypatch.setattr(GraphSource, "load", None)
+    want = f"jobs must be an integer >= 1, got {jobs!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        run_evaluation(cfg, jobs)
+
+
 def test_run_evaluation_calls_compare_rankings_once_per_sampler(monkeypatch):
     # the bench tracer times the RBO layer by wrapping the module-level
     # harness.compare_rankings, so run_evaluation must call it by that name

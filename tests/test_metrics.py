@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -323,31 +324,67 @@ def test_top_c_scores_without_pair_lists(monkeypatch, method):
     assert g._common is None
 
 
-@pytest.mark.parametrize("method", ["pa", "cn", "jaccard", "adamic_adar"])
+@pytest.mark.parametrize("method", ["pa", "lpi", "shortest_path", "lrw",
+                                    "cn", "jaccard", "adamic_adar"])
 def test_top_c_peak_memory_within_its_stated_bound(method):
     # top_c_recommend's stated bounds, as traced numpy and scipy arrays over
-    # the whole call, with the result's O(n * top_c) ids: O(block * n)
-    # words for pa's dense scores and their partition, and O(support + n +
-    # m + _CHUNK_BUDGET) words for the common-neighbour family, which
-    # builds no (block, n) array; here a block's walks are about its
-    # support, so the walk listing fits in the support term. At n = 5,000
-    # the bound is 82 MiB for pa and 44 MiB for the others, and one
-    # (block, n) float64 array takes 19.5 MiB.
+    # the whole call, with the result's O(n * top_c) ids. A dense route
+    # holds one (block, n) float64 block, and beside it either what
+    # score_block takes to build it or _top_dense's partition copy, one
+    # block: lrw's column walk, 4 * n * b words; lpi's sparse A^2 and A^3
+    # rows, 3 words per entry of the fullest block; shortest_path's hop
+    # counts and bit planes, under a block here even with a plane per bit
+    # of n; pa nothing. The common-neighbour family takes O(support + n +
+    # m + _CHUNK_BUDGET) words and no (block, n) array; here a block's
+    # walks are about its support, so the walk listing fits in the support
+    # term. At n = 5,000 one (block, n) float64 array takes 19.5 MiB, and
+    # the bounds are 42.9 MiB for pa and shortest_path, 62.4 MiB for lrw
+    # and 77.4 MiB for lpi. Built beside more blocks, or with the last
+    # block kept alive while the next was scored, lpi, shortest_path and
+    # lrw peaked at 79.2, 49.7 and 100.2 MiB.
     g = generate_price(5000, 5, seed=2)
     A = g.to_scipy_csr()  # the cached matrix is the graph's
     n, block, top_c = g.num_nodes, metrics._REC_BLOCK, 50
-    support = max((A[lo:lo + block] @ A).nnz for lo in range(0, n, block))
+    blocks = [A[lo:lo + block] @ A for lo in range(0, n, block)]
     tracemalloc.start()
     try:
         top_c_recommend(g, MethodSpec(method), top_c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if method == "pa":
-        words = 4 * block * n + 2 * n * top_c
-    else:
+    if TOP_C_ROUTES[method] == "_top_support":
+        support = max(paths2.nnz for paths2 in blocks)
         words = 2 * n * top_c + 16 * (support + n)
+    else:
+        walk = 4 * n * max(16, min(256, int(2e7 // n)))
+        terms = 3 * max(paths2.nnz + (paths2 @ A).nnz for paths2 in blocks)
+        planes = n.bit_length()
+        hops = ((planes + 5) * n * -(-block // 64) + 64 * n + n * block // 8
+                + 2 * (predictors._CHUNK_BUDGET >> 5))
+        assert hops < block * n
+        extra = {"pa": 0, "lpi": terms, "shortest_path": hops,
+                 "lrw": walk}[method]
+        words = block * n + max(block * n, extra) + 2 * n * top_c
     assert peak <= 8 * words, (peak, 8 * words)
+
+
+def test_top_c_drops_each_block_before_it_scores_the_next(monkeypatch):
+    # the spy keeps a weak reference to each block it hands out: when the
+    # next block is asked for, the last one must be gone, whichever route
+    # ranked it
+    g = random_graph(1100, 0.01, seed=6)
+    for method in METHODS:
+        refs = []
+
+        def spy(train, lo, hi, spec):
+            assert all(ref() is None for ref in refs), (spec.method, lo)
+            scores = predictors.score_block(train, lo, hi, spec)
+            refs.append(weakref.ref(scores))
+            return scores
+
+        monkeypatch.setattr(metrics, "score_block", spy)
+        top_c_recommend(g, MethodSpec(method), top_c=5)
+        assert len(refs) == 3
 
 
 def reference_vcmpr_per_node(items, positives, top_c):

@@ -917,6 +917,41 @@ def test_pa_block_peak_memory_is_one_block():
     assert peak <= 8 * block * n + 64 * n, (peak, 8 * block * n + 64 * n)
 
 
+@pytest.mark.parametrize("spec, m, lo, hi", [
+    (MethodSpec("lrw", walk_steps=2), 5, 0, 512),
+    (MethodSpec("lrw"), 5, 0, 512), (MethodSpec("lrw"), 5, 1000, 1512),
+    (MethodSpec("lrw", walk_steps=5), 5, 0, 512),
+    (MethodSpec("lpi"), 2, 0, 512), (MethodSpec("lpi"), 2, 1000, 1512),
+    (MethodSpec("lpi"), 5, 0, 512)], ids=str)
+def test_walk_blocks_build_one_block_beside_their_terms(spec, m, lo, hi):
+    # lrw's and lpi's block forms, as traced numpy and scipy arrays: the
+    # (hi - lo, n) float64 block they return, and beside it lrw's column
+    # walk with the products read off it, within the walk's 4 * n * b
+    # words for b = max(16, min(256, 2e7 // n)), or lpi's sparse A^2 and
+    # A^3 rows of the block, 3 words per entry: both terms and their sum,
+    # which scipy sizes for both before it trims. lrw's fwd buffer, its
+    # transposed copy and a product beside the block peaked at the block
+    # plus 6.1 walks (3.4 now), and lpi's A^2 and A^3 densified apart at
+    # 1.35 and 1.62 times the bound on the m = 2 graph (0.81 and 0.89 now).
+    g = generate_price(3000, m, seed=2)
+    A = g.to_scipy_csr()  # the cached matrix is the graph's
+    n = g.num_nodes
+    paths2 = A[lo:hi] @ A
+    if spec.method == "lrw":
+        extra = 4 * n * max(16, min(256, int(2e7 // n)))
+    else:
+        extra = 3 * (paths2.nnz + (paths2 @ A).nnz) + 2 * n
+    del paths2
+    tracemalloc.start()
+    try:
+        predictors.score_block(g, lo, hi, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * ((hi - lo) * n + extra)
+    assert peak <= bound, (peak, bound)
+
+
 # (m, sources, _CHUNK_BUDGET or None for the default) of the level memory
 # test: at 2**15 the level budget is 1,024 words, under the hub row's
 # gather of 1,416 at m = 40, and at 2**10 it is 32 words, a chunk per row
