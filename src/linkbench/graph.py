@@ -229,6 +229,15 @@ def build_graph(pairs, num_nodes: int | None = None) -> Graph:
     loop = arr[:, 0] == arr[:, 1]
     keys = _pair_keys(arr[~loop], num_nodes)
     edge_keys = sorted_unique(keys)
+    return _graph_from_keys(edge_keys, num_nodes,
+                            dropped_self_loops=np.count_nonzero(loop),
+                            dropped_duplicates=keys.size - edge_keys.size)
+
+
+def _graph_from_keys(edge_keys, num_nodes: int, dropped_self_loops=0,
+                     dropped_duplicates=0) -> Graph:
+    """The Graph on num_nodes nodes whose edges have the pair keys
+    edge_keys, which must be sorted, unique and of no self-loop."""
     # both directions as row * n + col keys: sorted, they list the CSR
     n = np.uint64(num_nodes)
     lo, hi = np.divmod(edge_keys, n)
@@ -236,9 +245,8 @@ def build_graph(pairs, num_nodes: int | None = None) -> Graph:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows.astype(np.int64), minlength=num_nodes),
               out=indptr[1:])
-    return Graph(indptr, cols, edge_keys,
-                 dropped_self_loops=np.count_nonzero(loop),
-                 dropped_duplicates=keys.size - edge_keys.size)
+    return Graph(indptr, cols, edge_keys, dropped_self_loops,
+                 dropped_duplicates)
 
 
 # ----------------------------------------------------------------------

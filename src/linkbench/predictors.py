@@ -28,9 +28,9 @@ from .graph import _as_pair_array, _is_number
 # pair chunk may build (lpi: a quarter for rows of A^2, a quarter for its
 # lookup cells), and the uint64 words (2**21 = 16 MiB) that one BFS level
 # over S sources gathers, nnz * S / 64, a 32nd of them at a time. Pair
-# budgets of 2**20 to 2**22 ran equally fast on a 500k-edge graph, but
-# lp-large's two lpi cells took 2.67 -> 2.88 s at 2**20 with a per-pair
-# A^2 row.
+# budgets of 2**20 to 2**22 ran equally fast on a 500k-edge graph, and
+# lp-large's two lpi cells took 0.97, 0.95 and 0.99 s at 2**20, 2**21 and
+# 2**22 (median of 5, 2-CPU host).
 _CHUNK_BUDGET = 1 << 21
 
 # lrw walks a column batch as sparse columns until this share of its n * b
@@ -213,6 +213,27 @@ def _gather_entries(Z, rows, cols, slot, buf):
     return out
 
 
+def _hub_masks(train):
+    """(light, mask) of train's hubs, its 64 highest-degree nodes in
+    stable (-deg, id) order (every node when n <= 64): light[z] is 1.0,
+    or 0.0 on a hub, and bit r of mask[v] is set when v is adjacent to hub
+    r. Built from the CSR in O(n + m), on each call."""
+    deg = train.degrees
+    k = min(64, deg.size)
+    # the nodes above the k-th largest degree, then the lowest ids at it
+    cut = np.partition(deg, deg.size - k)[deg.size - k]
+    hubs = np.concatenate([np.flatnonzero(deg > cut),
+                           np.flatnonzero(deg == cut)])[:k]
+    hubs = hubs[np.lexsort((hubs, -deg[hubs]))]
+    light = np.ones(train.num_nodes)
+    light[hubs] = 0.0
+    mask = np.zeros(train.num_nodes, dtype=np.uint64)
+    ptr, ids = train.indptr, train.indices
+    for r, h in enumerate(hubs.tolist()):
+        mask[ids[ptr[h]:ptr[h + 1]]] |= np.uint64(1) << np.uint64(r)
+    return light, mask
+
+
 def _score_lpi(train, arr, spec):
     """paths2 + epsilon * paths3, the 2- and 3-walk counts of each pair.
 
@@ -220,24 +241,31 @@ def _score_lpi(train, arr, spec):
     either orientation (e, o) of a pair, paths2 = A^2[e, o] and paths3 =
     sum of A^2[e, v] over v in N(o). Each pair expands its higher-degree
     endpoint e, the one that pairs share most, and the pairs are sorted by
-    e, so each distinct e's row is built once per call: Z = A[E] @ A for
-    chunks E of distinct e whose two-hop volumes vol2 = A @ deg, which
-    bound a row's entries, add up to a quarter of _CHUNK_BUDGET. Sub-chunks
-    of a chunk's pairs read their o and N(o) entries of Z through one
-    lookup buffer (_gather_entries) of (rows spanned) x (ids read) cells,
-    cut to a quarter of _CHUNK_BUDGET by _chunks.
+    e, so each distinct e's row is built once per call.
 
-    Peak memory is O(n + pairs + _CHUNK_BUDGET) words, whichever hubs a
-    chunk draws: a chunk or sub-chunk over budget holds one e or one pair,
-    and so at most n entries of Z and 1 + deg(o) <= n cells. Both counts
-    are integers summed in int64, so neither orientation nor chunking
-    moves a score.
+    The middle nodes z of the walks e - z - v split by degree (Alon,
+    Yuster and Zwick, Algorithmica 17(3), 1997): A^2[e, v] = light(e, v)
+    + popcount(mask[e] & mask[v]), where the masks of _hub_masks count the
+    walks through the 64 hubs, a word per node, and light the others. The
+    light rows are Z = A[E] @ A with A[E]'s hub columns dropped, for
+    chunks E of distinct e whose light two-hop volumes, A @ (deg * light),
+    add up to a quarter of _CHUNK_BUDGET. Sub-chunks of a chunk's pairs
+    read their o and N(o) entries of Z through one lookup buffer
+    (_gather_entries) of (rows spanned) x (ids read) cells, cut to a
+    quarter of _CHUNK_BUDGET by _chunks, and add the masks' popcounts.
+
+    Peak memory is O(n + pairs + _CHUNK_BUDGET) words plus the n mask
+    words, whichever hubs a chunk draws: a chunk or sub-chunk over budget
+    holds one e or one pair, and so at most n entries of Z and 1 + deg(o)
+    <= n cells. Every count is an integer summed in int64, so neither
+    orientation, the split nor chunking moves a score.
     """
     A = train.to_scipy_csr()
     if A.nnz == 0:  # no walks, and no A.indices to read from below
         return np.zeros(arr.shape[0], dtype=np.float64)
     deg = train.degrees
     budget = _CHUNK_BUDGET // 4
+    light, mask = _hub_masks(train)
     flip = deg[arr[:, 1]] > deg[arr[:, 0]]
     e = np.where(flip, arr[:, 1], arr[:, 0])
     order = np.argsort(e, kind="stable")
@@ -248,13 +276,19 @@ def _score_lpi(train, arr, spec):
     new = np.r_[True, e[1:] != e[:-1]]
     row = np.cumsum(new) - 1
     heads = np.append(np.flatnonzero(new), e.size)
-    vol2 = (A @ deg).astype(np.int64)
+    vol2 = (A @ (deg * light)).astype(np.int64)
     # paths2 and paths3 in sorted order
     walks = np.empty((2, e.size), dtype=np.int64)
     slot = np.full(train.num_nodes, -1, dtype=np.int64)
     buf = np.zeros(0, dtype=np.int64)
     for g_lo, g_hi in _chunks(vol2[e[heads[:-1]]] + 1, budget):
-        Z = A[e[heads[g_lo:g_hi]]] @ A
+        E = e[heads[g_lo:g_hi]]
+        hub_bits = mask[E]
+        # A[E] is the chunk's own copy, so its hub entries can be dropped
+        # in place
+        R = _column_weighted(A[E], light)
+        R.eliminate_zeros()
+        Z = R @ A
         part = slice(heads[g_lo], heads[g_hi])
         others, z_row, out = o[part], row[part] - g_lo, walks[:, part]
         reads = 1 + deg[others]
@@ -273,6 +307,7 @@ def _score_lpi(train, arr, spec):
             if buf.size < cells:
                 buf = np.zeros(cells, dtype=np.int64)
             got = _gather_entries(Z, rows, cols, slot, buf)
+            got += np.bitwise_count(hub_bits[rows] & mask[cols])
             out[0, lo:hi] = got[first]
             out[1, lo:hi] = np.add.reduceat(got, first) - got[first]
     paths = np.empty((2, e.size), dtype=np.float64)
@@ -593,10 +628,12 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     cell share one pass, paid by the first of them. Peak memory is O(n +
     _CHUNK_BUDGET + pairs + sum cn) words, whichever hubs a chunk draws,
     and the graph keeps O(pairs + sum cn) of them until another pair array
-    replaces them. lpi builds one A^2 row per distinct higher-degree
-    endpoint, for chunks of those endpoints, and reads each pair's entries
-    from them through a lookup buffer that an n-sized array keys by
-    compact column; its peak memory is O(n + pairs + _CHUNK_BUDGET) words.
+    replaces them. lpi counts the 2-walks through the 64 highest-degree
+    nodes with one uint64 hub mask per node, builds the other middle
+    nodes' A^2 row once per distinct higher-degree endpoint, for chunks of
+    those endpoints, and reads each pair's entries from them through a
+    lookup buffer that an n-sized array keys by compact column; its peak
+    memory is O(n + pairs + _CHUNK_BUDGET) words plus the n mask words.
     lrw adds O(n * b) floats for its walk of b = max(16, min(256, 2e7 //
     n)) columns at a time. shortest_path labels the train graph's
     components once, so that pairs across them, which score 0, start no

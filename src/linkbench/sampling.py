@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, _as_pair_array, _decode_keys, _pair_keys,
-                    build_graph)
+from .graph import (Graph, _as_pair_array, _decode_keys, _graph_from_keys,
+                    _pair_keys)
+# kept as sampling.build_graph: bench/tracer.py wraps that name
+from .graph import build_graph  # noqa: F401
 
 
 class SaturationError(RuntimeError):
@@ -57,12 +59,12 @@ def split_positive(g: Graph, beta: float, seed) -> tuple[Graph, np.ndarray]:
     count = int(round(beta * m))
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(m, size=count, replace=False))
-    edges = g.edge_array()
     keep = np.ones(m, dtype=bool)
     keep[chosen] = False
-    positives = edges[chosen]
-    train = build_graph(edges[keep], num_nodes=g.num_nodes)
-    return train, positives
+    # the kept keys are sorted and unique already, so no pair is decoded,
+    # canonicalised or deduplicated again
+    train = _graph_from_keys(g._keys[keep], g.num_nodes)
+    return train, _decode_keys(g._keys[chosen], g.num_nodes)
 
 
 def _available(table, g: Graph) -> int:

@@ -766,6 +766,70 @@ def test_budgeted_kernels_equal_reference_oracles(budget, monkeypatch):
     assert borders >= BUDGET_BORDERS[budget], borders
 
 
+def hub_split_cases():
+    """name -> (train, pairs, hubs) where lpi's hub/light split of middle
+    nodes meets an edge: hubs is the set of 64 hubs _hub_masks must pick,
+    or None where the graph's own order fixes it."""
+    rng = np.random.default_rng(9)
+    # n < 64: every node is a hub and no middle node is light
+    small = random_graph(40, 0.15, seed=3)
+    # at most 30 nodes of positive degree among 500: the hubs take the
+    # lowest isolated ids
+    few = build_graph(rng.integers(0, 30, size=(80, 2)), num_nodes=500)
+    positive = np.count_nonzero(few.degrees)
+    assert positive < 64
+    # a 4-regular ring of 300 nodes and a star from 299 to 0..29: ranks 0
+    # to 30 are 299 and the degree-5 ids 0..29, and the degree-4 tie that
+    # runs from rank 31 across rank 64 is cut by id, at 62
+    ring = [(i, (i + k) % 299) for i in range(299) for k in (1, 2)]
+    tie = build_graph(ring + [(299, j) for j in range(30)], num_nodes=300)
+    train = hub_pairs()[0]
+    top = np.argsort(-train.degrees, kind="stable")[:64]
+    return {
+        "n < 64": (small, block_pairs(0, 40, 40), set(range(40))),
+        "few positive": (few, rng.integers(0, 500, size=(3000, 2)), set(
+            np.flatnonzero(few.degrees).tolist()) | set(
+                np.flatnonzero(few.degrees == 0)[:64 - positive].tolist())),
+        "tie at rank 64": (tie, block_pairs(0, 300, 300),
+                           {299} | set(range(63))),
+        # every ordered pair of hubs, self-pairs among them, and each hub
+        # against light ids
+        "hub pairs": (train, np.concatenate([
+            np.stack(np.meshgrid(top, top), axis=-1).reshape(-1, 2),
+            np.stack([np.repeat(top, 40),
+                      rng.integers(0, train.num_nodes, top.size * 40)],
+                     axis=1)]), None),
+        "edgeless": (build_graph([], num_nodes=90),
+                     rng.integers(0, 90, size=(200, 2)), set(range(64)))}
+
+
+@pytest.mark.parametrize("name", ["n < 64", "few positive", "tie at rank 64",
+                                  "hub pairs", "edgeless"])
+def test_lpi_hub_split_equals_reference_oracles(name):
+    train, pairs, hubs = hub_split_cases()[name]
+    light, mask = predictors._hub_masks(train)
+    if hubs is not None:
+        assert set(np.flatnonzero(light == 0).tolist()) == hubs, name
+    # the masks count the 2-walks through the hubs: bit r of mask[v] is
+    # A[v, hub r], with the hubs in (-deg, id) order
+    A = train.to_scipy_csr().astype(np.int64)
+    hub_of = np.argsort(-train.degrees, kind="stable")[:64]
+    bits = (mask[:, None] >> np.arange(hub_of.size, dtype=np.uint64)) & 1
+    assert np.array_equal(bits.astype(np.int64), A[:, hub_of].toarray()), name
+    # dense rows of A^2 and A^3 for the pairs' first endpoints, counted in
+    # int64
+    rows, at = np.unique(pairs[:, 0], return_inverse=True)
+    paths2 = (A[rows] @ A).toarray()[at, pairs[:, 1]].astype(np.float64)
+    paths3 = (A[rows] @ A @ A).toarray()[at, pairs[:, 1]].astype(np.float64)
+    for epsilon in (0.01, 0.5):
+        got = score_method(train, pairs, MethodSpec("lpi", epsilon=epsilon))
+        dense = paths2 + epsilon * paths3
+        assert np.array_equal(got, dense), (name, epsilon)
+        assert np.array_equal(got, reference_score_lpi(train, pairs,
+                                                       epsilon)), (name,
+                                                                   epsilon)
+
+
 def spy_chunks(monkeypatch):
     """Record what the _chunks calls of a kernel cut: "cut" when a call
     yields more than one chunk, so that a border falls inside a block or a
@@ -819,10 +883,11 @@ def test_block_common_equals_reference_oracle(budget, monkeypatch):
 
 @pytest.mark.parametrize("budget", [1 << 14, None])
 def test_lpi_peak_memory_within_its_stated_bound(budget, monkeypatch):
-    # _score_lpi's O(n + pairs + _CHUNK_BUDGET) words, as traced numpy and
-    # scipy arrays, on a hub-heavy degree-corrected split. At 2**14 the
-    # bound is 8.8 MiB: every distinct endpoint's A^2 row at once would take
-    # 28 MiB, and one lookup grid over all of them 35 GiB.
+    # _score_lpi's O(n + pairs + _CHUNK_BUDGET) words plus its n hub mask
+    # words, as traced numpy and scipy arrays, on a hub-heavy
+    # degree-corrected split. At 2**14 the bound is 8.9 MiB: every distinct
+    # endpoint's A^2 row at once would take 28 MiB, and one lookup grid over
+    # all of them 35 GiB.
     g = generate_price(20000, 5, seed=2)
     split = make_split(g, 0.25, "degree-corrected", 5)
     pairs = np.concatenate([split.positives, split.negatives])
@@ -835,7 +900,8 @@ def test_lpi_peak_memory_within_its_stated_bound(budget, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    words = 16 * (g.num_nodes + pairs.shape[0]) + 2 * predictors._CHUNK_BUDGET
+    words = (16 * (g.num_nodes + pairs.shape[0]) + g.num_nodes
+             + 2 * predictors._CHUNK_BUDGET)
     assert peak <= 8 * words, (peak, 8 * words)
 
 

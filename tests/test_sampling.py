@@ -42,6 +42,29 @@ def test_split_partitions_edges_and_keeps_nodes():
     assert as_set(train.edge_array()) & as_set(pos) == set()
 
 
+@pytest.mark.parametrize("g", [
+    generate_price(2000, 3, seed=4),
+    # ids 40..59 isolated, and the removal isolates more
+    build_graph([(0, i) for i in range(1, 40)] + [(1, 2), (2, 3)],
+                num_nodes=60)], ids=["price", "star"])
+def test_split_train_graph_equals_built_graph_of_kept_edges(g):
+    # the train graph is built from the kept keys; its bytes equal a graph
+    # built from the kept edge pairs, and the positives are the held-out
+    # edges in canonical order
+    for seed in range(3):
+        train, pos = split_positive(g, 0.3, seed=seed)
+        edges = g.edge_array()
+        held = np.isin(_pair_keys(edges, g.num_nodes),
+                       _pair_keys(pos, g.num_nodes))
+        assert pos.dtype == np.int64 and np.array_equal(pos, edges[held])
+        want = build_graph(edges[~held], num_nodes=g.num_nodes)
+        for part in ("indptr", "indices", "_keys"):
+            a, b = getattr(train, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+            assert not a.flags.writeable, part
+        assert (train.dropped_self_loops, train.dropped_duplicates) == (0, 0)
+
+
 def test_split_uniform_over_edges():
     # each triangle edge held out in ~1/3 of seeds
     g = build_graph(TRIANGLE)
