@@ -88,11 +88,15 @@ def cmd_score(args) -> int:
 
 
 def _check_held_out(train, positives) -> None:
-    """Reject a held-out positive that top_c_recommend can never list: a
-    self-pair or a train edge would count as a missed partner, and an id
-    outside the train graph has no list at all.
+    """Reject, before top_c_recommend ranks anything, an empty positive
+    set, which leaves VCMPR no node to average, and a held-out positive
+    that top_c_recommend can never list: a self-pair or a train edge would
+    count as a missed partner, and an id outside the train graph has no
+    list at all.
     """
     pos = _as_pair_array(positives)
+    if pos.shape[0] == 0:
+        raise ValueError("no held-out positive pair to recommend")
     bad = np.flatnonzero((pos[:, 0] == pos[:, 1]) | train.has_edges(pos))
     if bad.size:
         i, j = pos[bad[0]].tolist()

@@ -25,13 +25,28 @@ class GenerationError(RuntimeError):
 # ----------------------------------------------------------------------
 
 # generate_price draws the first picks of _CLEAN_START to _MAX_WINDOW nodes
-# at once, once _CLEAN_START nodes in a row drew theirs without a repeat.
-# Windows from the first clean node on ran 1.3-1.9x slower than single
-# nodes at m = 20 and 50, where almost every node repeats, and windows of
-# 2 to 6 nodes left m = 20 5-10% slower: each costs more than the per-node
-# calls it saves.
+# at once, once _CLEAN_START nodes in a row drew theirs without a repeat:
+# earlier or smaller windows, where most nodes repeat, cost more than the
+# per-node calls they save.
 _MAX_WINDOW = 1 << 16
 _CLEAN_START = 8
+
+
+def _price_sizes(n, m_per_node) -> tuple:
+    """(n, m_per_node) as ints; ValueError unless generate_price can build
+    that graph."""
+    for name, value in (("n", n), ("m_per_node", m_per_node)):
+        if not _is_number(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    m = int(m_per_node)
+    n = int(n)
+    if m < 1:
+        raise ValueError("m_per_node must be >= 1")
+    if n < m + 1:
+        raise ValueError("n must be at least m_per_node + 1")
+    if n > _MAX_NODES:  # before the (n * m, 2) edge array is allocated
+        raise ValueError(f"n must be at most {_MAX_NODES}, got {n}")
+    return n, m
 
 
 def generate_price(n: int, m_per_node: int, seed) -> Graph:
@@ -65,17 +80,7 @@ def generate_price(n: int, m_per_node: int, seed) -> Graph:
     Memory: O(n * m) for the edge array, as the loop, plus O(W * m) for one
     window's picks, W <= _MAX_WINDOW = 2**16.
     """
-    for name, value in (("n", n), ("m_per_node", m_per_node)):
-        if not _is_number(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    m = int(m_per_node)
-    n = int(n)
-    if m < 1:
-        raise ValueError("m_per_node must be >= 1")
-    if n < m + 1:
-        raise ValueError("n must be at least m_per_node + 1")
-    if n > _MAX_NODES:  # before the (n * m, 2) edge array is allocated
-        raise ValueError(f"n must be at most {_MAX_NODES}, got {n}")
+    n, m = _price_sizes(n, m_per_node)
     rng = np.random.default_rng(seed)
 
     num_edges = n * m - m * (m + 1) // 2

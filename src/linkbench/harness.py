@@ -12,8 +12,8 @@ worker count; any cell failure becomes an error row and the run continues.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
+import inspect
 import json
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _is_number, build_graph, read_edge_list
-from .generators import LfrParams, generate_lfr, generate_price
+from .generators import LfrParams, _price_sizes, generate_lfr, \
+    generate_price
 from .metrics import (_check_top_c, auc_roc, rbo, top_c_recommend,
                       vcmpr_at_c)
 from .predictors import MethodSpec, score_method
@@ -52,13 +53,10 @@ def _check_keys(where: str, entry, required, optional=()) -> None:
         raise ValueError(f"{where}: unknown keys {unknown}")
 
 
-# generator kind -> {required recipe key: number kind} besides "kind";
-# "seed", an integer, is optional
-_RECIPE_KEYS = {
-    "price": {"n": numbers.Integral, "m_per_node": numbers.Integral},
-    "lfr": {f.name: numbers.Integral if f.type == "int" else numbers.Real
-            for f in dataclasses.fields(LfrParams)},
-}
+# generator kind -> the check that its recipe passes; the check's
+# parameters are the recipe's required keys besides "kind", and "seed", an
+# integer, is optional
+_RECIPES = {"price": _price_sizes, "lfr": LfrParams}
 
 
 @dataclass(frozen=True)
@@ -75,19 +73,21 @@ class GraphSource:
                 f"graph {self.graph_id!r} needs exactly one of path/generator")
         if self.generator is not None:
             kind = self.generator.get("kind")
-            if kind not in _RECIPE_KEYS:
+            if not isinstance(kind, str) or kind not in _RECIPES:
                 raise ValueError(
                     f"graph {self.graph_id!r}: unknown generator kind {kind!r}")
             where = f"graph {self.graph_id!r}: {kind} generator"
-            _check_keys(where, self.generator,
-                        ("kind",) + tuple(_RECIPE_KEYS[kind]), ("seed",))
-            for key, value in self.generator.items():
-                num = _RECIPE_KEYS[kind].get(key, numbers.Integral)  # seed
-                if key != "kind" and not _is_number(value, num):
-                    noun = ("an integer" if num is numbers.Integral
-                            else "a finite number")
-                    raise ValueError(f"{where}: {key} must be {noun}, "
-                                     f"got {value!r}")
+            check = _RECIPES[kind]
+            fields = tuple(inspect.signature(check).parameters)
+            _check_keys(where, self.generator, ("kind",) + fields, ("seed",))
+            seed = self.generator.get("seed", 0)
+            if not _is_number(seed, numbers.Integral):
+                raise ValueError(
+                    f"{where}: seed must be an integer, got {seed!r}")
+            try:
+                check(**{key: self.generator[key] for key in fields})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
 
     def load(self) -> Graph:
         if self.path is not None:

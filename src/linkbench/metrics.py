@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.stats import rankdata
 
 from .graph import _as_pair_array, _is_number, sorted_unique
-from .predictors import MethodSpec, score_block
+from .predictors import _FORMS, MethodSpec, _check_finite
 # kept as metrics.score_method: bench/tracer.py wraps that name
 from .predictors import score_method  # noqa: F401
 
@@ -42,12 +42,17 @@ def _check_top_c(top_c) -> int:
     return int(top_c)
 
 
-# sources scored per score_block call in top_c_recommend. A dense block
-# and its partition copy take 16 bytes per cell, 16 MiB at n = 2,000;
-# sizing from predictors._CHUNK_BUDGET, 2**21 / n, would give rec-lfr
-# blocks of 1,048 sources and double that. The common-neighbour family's
-# support route takes no (block, n) array at any block size.
+# sources scored per _score_block call in top_c_recommend: a dense block
+# and its partition copy take 16 bytes per cell, so a fixed block keeps
+# them small where sizing from predictors._CHUNK_BUDGET would not. The
+# common-neighbour family's support route takes no (block, n) array.
 _REC_BLOCK = 512
+
+
+def _score_block(train, lo, hi, spec):
+    """spec.method's block form on sources lo..hi-1, checked finite."""
+    return _check_finite(_FORMS[spec.method][1](train, lo, hi, spec),
+                         spec.method)
 
 
 def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
@@ -56,7 +61,7 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     Returns one int64 array per node: items[i] holds candidate ids for
     source i, best first, and has length min(top_c, n - 1 - deg i).
     Candidates never include i itself or its train neighbours, and ties are
-    broken by ascending node id. score_block scores each block of sources
+    broken by ascending node id. _score_block scores each block of sources
     against all n nodes, with no (block, n) pair list, and each block takes
     one of two exact routes, neither of which sorts a whole row:
 
@@ -65,7 +70,7 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
       C-th smallest value (np.partition), and the entries below the cut,
       plus the smallest ids at it, are ranked. One (block, n) float64
       array is alive at a time, beside _top_dense's partition copy or what
-      score_block takes to build it (lrw's O(n * b) walk, lpi's sparse
+      the block form takes to build it (lrw's O(n * b) walk, lpi's sparse
       terms, shortest_path's bit planes);
     - a CSR block of the support of A[blk] @ A (cn, jaccard, adamic_adar,
       resource_alloc), every other score exactly 0, scored from a listing
@@ -86,12 +91,12 @@ def top_c_recommend(train, spec: MethodSpec, top_c: int = 50) -> list:
     items: list = []
     for lo in range(0, n, _REC_BLOCK):
         hi = min(lo + _REC_BLOCK, n)
-        scores = score_block(train, lo, hi, spec)
+        scores = _score_block(train, lo, hi, spec)
         keep = np.minimum(top_c, n - 1 - deg[lo:hi])
         route = _top_support if sparse.issparse(scores) else _top_dense
         ids = route(scores, _masked_keys(train, lo, hi), keep)
         ends = np.cumsum(keep)
-        # slices, not np.split, which takes ~4 times as long per row
+        # slices, not np.split, which is slower per row
         items.extend(ids[a:b] for a, b in zip((ends - keep).tolist(),
                                                ends.tolist()))
         del scores  # one block alive while the next is scored

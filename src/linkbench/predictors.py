@@ -27,10 +27,8 @@ from .graph import _as_pair_array, _is_number
 # One budget bounds the pair kernels' memory: the sparse row entries one
 # pair chunk may build (lpi: a quarter for rows of A^2, a quarter for its
 # lookup cells), and the uint64 words (2**21 = 16 MiB) that one BFS level
-# over S sources gathers, nnz * S / 64, a 32nd of them at a time. Pair
-# budgets of 2**20 to 2**22 ran equally fast on a 500k-edge graph, and
-# lp-large's two lpi cells took 0.97, 0.95 and 0.99 s at 2**20, 2**21 and
-# 2**22 (median of 5, 2-CPU host).
+# over S sources gathers, nnz * S / 64, a 32nd of them at a time. Budgets
+# a factor of 2 either side ran no faster.
 _CHUNK_BUDGET = 1 << 21
 
 # lrw walks a column batch as sparse columns until this share of its n * b
@@ -109,9 +107,7 @@ def _common_pattern(train, arr):
     and the pattern keeps O(pairs + sum cn) of them.
     """
     # bool entries: the row gathers and their intersections move one byte
-    # per entry where A's float64 ones move eight (best of 5 on an lp-large
-    # cell, 2-CPU host: 0.119 -> 0.075 s uniform, 0.170 -> 0.114 s
-    # degree-corrected)
+    # per entry where A's float64 ones move eight
     A = _column_weighted(train.to_scipy_csr(),
                          np.ones(train.num_nodes, dtype=bool))
     deg = train.degrees
@@ -343,9 +339,8 @@ def _bfs_levels(A, sources):
     rows = np.flatnonzero(np.diff(A.indptr))
     starts = A.indptr[rows]
     ends = A.indptr[rows + 1]
-    # One 55-word level of an lp-price cell's train graph took 16.1 ms as
-    # one gather of 16 MiB and 5.6 ms at this budget (2**14 equal, 2**12
-    # and 2**18 7.1-7.3 ms), best of 7 on a 2-CPU host.
+    # a chunk's gather at this budget stays in cache, where one gather of
+    # the whole level does not
     cuts = [lo for lo, _ in _chunks((ends - starts) * width,
                                     _CHUNK_BUDGET >> 5)] + [rows.size]
     for d in itertools.count(1):
@@ -408,10 +403,8 @@ def _walk_columns(PT, nodes, steps):
     1.25e6, as long as the caller drops cols before it asks for the next.
     """
     n = PT.shape[0]
-    # 2e7 / n floats in 16..256 columns, not max(16, _CHUNK_BUDGET // n):
-    # the rec-lfr train graph's four lrw blocks (n = 2,000) took 0.18 ->
-    # 0.24 s at the latter's 1,048 columns, and lp-price cells (n = 5,000,
-    # 419 columns) 0.10 -> 0.10-0.12 s, best of 5
+    # 2e7 / n floats in 16..256 columns, not max(16, _CHUNK_BUDGET // n),
+    # whose wider batches walked slower
     batch = max(16, min(256, int(2e7 // max(n, 1))))
     for lo, hi in _chunks(np.ones(nodes.size, dtype=np.int64), batch):
         b = hi - lo
@@ -482,17 +475,14 @@ def _walk_scores(train, lo, hi, method):
         order = np.argsort(key, kind="stable")
         key = key[order]
     else:
-        # the 4 blocks of the rec-lfr train graph sort their keys in 1.9
-        # ms this way, and took 6.7 ms by stable argsort and gather
+        # an in-place sort, faster than a stable argsort and gather
         key.sort()
     heads = np.flatnonzero(np.diff(key, prepend=-1))
     arr = np.empty((heads.size, 2), dtype=key.dtype)
     np.divmod(key[heads], n, out=(arr[:, 0], arr[:, 1]))
     arr[:, 0] += lo
     bounds = np.append(heads, key.size)
-    # each walk-sized array is dropped once read: resource_alloc's hub
-    # block of a Price 30,000 train graph peaked at 47.4 MiB under
-    # tracemalloc with them kept and 35.8 MiB without
+    # each walk-sized array is dropped once read, which lowers the peak
     del key, heads
     counts = pattern = None
     if weighted:
@@ -565,9 +555,8 @@ def _block_shortest_path(train, lo, hi, spec):
             bits = np.unpackbits(octets, axis=1, count=size, bitorder="little")
             hops |= bits.astype(hops.dtype, copy=False) << i
         # take copies its index as intp, so 64 sources go at a time; clip
-        # mode (every d is in range) writes to the block unbuffered. On a
-        # 512 x 2,000 block, rec-lfr's size, a cast and masked divide took
-        # 10 ms and this 2 ms.
+        # mode (every d is in range) writes to the block unbuffered, faster
+        # than a cast and masked divide
         recip = _reciprocal(np.arange(far + 1))
         rows = out[b_lo:b_hi]
         for c in range(0, size, 64):
@@ -648,36 +637,3 @@ def score_method(train, pairs, spec: MethodSpec) -> np.ndarray:
     if arr.size == 0:
         return np.zeros(0, dtype=np.float64)
     return _check_finite(_FORMS[spec.method][0](train, arr, spec), spec.method)
-
-
-def score_block(train, lo: int, hi: int, spec: MethodSpec):
-    """Scores of sources lo..hi-1 against every node, as a (hi - lo, n)
-    float64 array, or for the common-neighbour family (cn, jaccard,
-    adamic_adar, resource_alloc) as a (hi - lo, n) CSR matrix with sorted
-    column ids that stores the support, the nonzeros of A[lo:hi] @ A, and
-    whose every other score is exactly 0.
-
-    Row r, column j holds the score of the pair (lo + r, j): the result
-    (densified) is bit-identical to score_method on the block's row-major
-    pair list, reshaped, but no such list is built. A dense block form
-    builds only the (hi - lo, n) float64 array it returns, beside lrw's
-    O(n * b) floats of walk, b = max(16, min(256, 2e7 // n)) columns at a
-    time, lpi's sparse A^2 and A^3 rows, and shortest_path's O(n * S)
-    bytes of hop counts and O(b * n * S / 64 + n * 64 + _CHUNK_BUDGET / 32)
-    words for a BFS batch of S <= hi - lo sources whose farthest node lies
-    below 2^b hops. The common-neighbour family builds no (hi - lo, n)
-    array: it lists the walks i - z - j of chunks of sources, at most a
-    quarter of _CHUNK_BUDGET walks or one source's vol2 <= 2m, and takes
-    O(n + m + support + _CHUNK_BUDGET) words.
-
-    Raises ValueError unless lo and hi are integers with 0 <= lo <= hi <=
-    n, and ArithmeticError if the block holds a non-finite score.
-    """
-    for name, value in (("lo", lo), ("hi", hi)):
-        if not _is_number(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    n = train.num_nodes
-    if not 0 <= lo <= hi <= n:
-        raise ValueError(f"source block [{lo}, {hi}) out of range for the "
-                         f"train graph's {n} nodes")
-    return _check_finite(_FORMS[spec.method][1](train, lo, hi, spec), spec.method)

@@ -10,7 +10,7 @@ captures per-test output.
 import numpy as np
 from scipy import sparse
 
-from linkbench import predictors
+from linkbench import metrics
 
 ACCEPTANCE_RESULTS = []
 
@@ -30,9 +30,9 @@ def neighbors(g, i):
 
 
 def dense_block(g, lo, hi, spec):
-    """predictors.score_block's scores as a dense (hi - lo, n) array: the
+    """metrics._score_block's scores as a dense (hi - lo, n) array: the
     common-neighbour family returns its support as a CSR matrix."""
-    scores = predictors.score_block(g, lo, hi, spec)
+    scores = metrics._score_block(g, lo, hi, spec)
     return scores.toarray() if sparse.issparse(scores) else scores
 
 

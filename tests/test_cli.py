@@ -142,6 +142,26 @@ def test_recommend_rejects_out_of_range_positive(tmp_path, capsys, pair):
     assert not out.exists()
 
 
+def test_recommend_rejects_empty_positives_before_ranking(tmp_path, capsys,
+                                                         monkeypatch):
+    # an empty --pos file used to rank all n nodes before vcmpr_per_node
+    # found that no node has a partner
+    calls = []
+    monkeypatch.setattr("linkbench.cli.top_c_recommend",
+                        lambda *args: calls.append(args) or [])
+    train, pos, out = (tmp_path / name for name in ("c4.train", "empty.pos",
+                                                    "recs.csv"))
+    write_edge_list(np.array([(0, 1), (1, 2), (2, 3), (0, 3)]), train)
+    pos.write_text("# no pairs\n")
+    code = main(["recommend", "--train", str(train), "--pos", str(pos),
+                 "--method", "cn", "--top-c", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: no held-out positive pair to recommend\n")
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("top_c", ["0", "9223372036854775808"])
 def test_recommend_rejects_top_c_out_of_range(tmp_path, capsys, top_c):
     # 2**63 used to end in an OverflowError traceback and exit code 1

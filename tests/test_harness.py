@@ -67,6 +67,8 @@ LFR = {"kind": "lfr", "n": 100, "tau1": 2.5, "tau2": 3.0, "mu": 0.1,
                                 if k != "tau2"}}]}, "missing keys ['tau2']"),
     ({"graphs": [{"generator": dict(PRICE, kind="er")}]},
      "unknown generator kind 'er'"),
+    ({"graphs": [{"generator": dict(PRICE, kind=["price"])}]},
+     "unknown generator kind ['price']"),
     ({"methods": [{"method": "lpi", "eps": 0.5}]}, "unknown keys ['eps']"),
     ({"methods": [{"epsilon": 0.5}]}, "missing keys ['method']"),
     ({"samplers": ["uniform", "uniform"]}, "samplers must be distinct"),
@@ -104,6 +106,11 @@ LFR = {"kind": "lfr", "n": 100, "tau1": 2.5, "tau2": 3.0, "mu": 0.1,
      "price generator: seed must be an integer, got 1.5"),
     ({"graphs": [{"generator": dict(LFR, mu="0.1")}]},
      "lfr generator: mu must be a finite number, got '0.1'"),
+    # out of range: accepted here until the graph was generated
+    ({"graphs": [{"generator": dict(LFR, mu=1.5)}]},
+     "lfr generator: mu must be in [0, 1]"),
+    ({"graphs": [{"generator": dict(PRICE, n=2, m_per_node=5)}]},
+     "price generator: n must be at least m_per_node + 1"),
     ({"graphs": [{"generator": dict(LFR, max_comm=50.0)}]},
      "lfr generator: max_comm must be an integer, got 50.0"),
     ({"master_seed": "abc"}, "master_seed must be an integer, got 'abc'"),
@@ -115,6 +122,34 @@ def test_bad_config_raises_value_error_naming_the_key(change, message):
     BenchmarkConfig.from_dict(base)
     with pytest.raises(ValueError, match=re.escape(message)):
         BenchmarkConfig.from_dict({**base, **change})
+
+
+@pytest.mark.parametrize("recipe, message", [
+    (dict(LFR, mu=1.5), "graph 'late': lfr generator: mu must be in [0, 1]"),
+    (dict(PRICE, n=2, m_per_node=5),
+     "graph 'late': price generator: n must be at least m_per_node + 1"),
+])
+def test_out_of_range_recipe_fails_before_any_graph_is_built(
+        monkeypatch, tmp_path, capsys, recipe, message):
+    # a recipe's range rules used to run only in load(), after the graphs
+    # listed before it were generated, with a message naming no graph
+    def built(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for name in ("generate_price", "generate_lfr"):
+        monkeypatch.setattr(harness, name, built)
+    monkeypatch.setattr(GraphSource, "load", built)
+    config = {"graphs": [{"id": "early", "generator": PRICE},
+                         {"id": "late", "generator": recipe}],
+              "methods": ["pa"]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BenchmarkConfig.from_dict(config)
+    cfg_path, rows_csv = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["evaluate", "--config", str(cfg_path), "--out",
+                 str(rows_csv), "--summary", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not rows_csv.exists()
 
 
 def test_config_validation():

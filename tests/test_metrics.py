@@ -236,7 +236,7 @@ def test_top_c_degree_zero_sources_and_edgeless_graphs(method):
                        zip(got, argsort_top_c(g, spec, c)))
 
 
-# method -> the top-C route its score_block result takes: the threshold
+# method -> the top-C route its _score_block result takes: the threshold
 # cut of a dense (block, n) array, or the ranked support of a CSR block
 TOP_C_ROUTES = {
     "pa": "_top_dense",
@@ -330,7 +330,7 @@ def test_top_c_peak_memory_within_its_stated_bound(method):
     # top_c_recommend's stated bounds, as traced numpy and scipy arrays over
     # the whole call, with the result's O(n * top_c) ids. A dense route
     # holds one (block, n) float64 block, and beside it either what
-    # score_block takes to build it or _top_dense's partition copy, one
+    # the block form takes to build it or _top_dense's partition copy, one
     # block: lrw's column walk, 4 * n * b words; lpi's sparse A^2 and A^3
     # rows, 3 words per entry of the fullest block; shortest_path's hop
     # counts and bit planes, under a block here even with a plane per bit
@@ -373,16 +373,17 @@ def test_top_c_drops_each_block_before_it_scores_the_next(monkeypatch):
     # next block is asked for, the last one must be gone, whichever route
     # ranked it
     g = random_graph(1100, 0.01, seed=6)
+    score_block = metrics._score_block
     for method in METHODS:
         refs = []
 
         def spy(train, lo, hi, spec):
             assert all(ref() is None for ref in refs), (spec.method, lo)
-            scores = predictors.score_block(train, lo, hi, spec)
+            scores = score_block(train, lo, hi, spec)
             refs.append(weakref.ref(scores))
             return scores
 
-        monkeypatch.setattr(metrics, "score_block", spy)
+        monkeypatch.setattr(metrics, "_score_block", spy)
         top_c_recommend(g, MethodSpec(method), top_c=5)
         assert len(refs) == 3
 

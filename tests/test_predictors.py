@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import sys
 import threading
 import tracemalloc
@@ -12,7 +11,7 @@ from scipy.sparse import csgraph
 
 from conftest import dense_adjacency, neighbors
 from linkbench import (METHODS, MethodSpec, build_graph, generate_price,
-                       make_split, predictors, score_method)
+                       make_split, metrics, predictors, score_method)
 
 
 def random_graph(n, p, seed):
@@ -184,25 +183,13 @@ def test_non_finite_score_rejected(monkeypatch):
     with pytest.raises(ArithmeticError, match="cn"):
         score_method(g, [(0, 2)], MethodSpec("cn"))
     with pytest.raises(ArithmeticError, match="cn"):
-        predictors.score_block(g, 0, 2, MethodSpec("cn"))
+        metrics._score_block(g, 0, 2, MethodSpec("cn"))
 
 
 def test_pairs_out_of_range_rejected():
     g = build_graph([(0, 1)])
     with pytest.raises(ValueError):
         score_method(g, [(0, 9)], MethodSpec("cn"))
-    for lo, hi in [(-1, 1), (0, 3), (2, 1)]:
-        with pytest.raises(ValueError, match="out of range"):
-            predictors.score_block(g, lo, hi, MethodSpec("cn"))
-    # a bool or a float is not taken as a node id
-    for lo, hi, bad in [(True, 2, "lo"), (0, True, "hi"), (0.0, 2, "lo"),
-                        (0, 1.5, "hi"), ("0", 2, "lo"), (0, None, "hi")]:
-        value = lo if bad == "lo" else hi
-        with pytest.raises(ValueError, match=re.escape(
-                f"{bad} must be an integer, got {value!r}")):
-            predictors.score_block(g, lo, hi, MethodSpec("cn"))
-    assert predictors.score_block(g, np.int64(0), np.int32(2),
-                                  MethodSpec("cn")).shape == (2, 2)
 
 
 def block_pairs(lo, hi, n):
@@ -240,7 +227,7 @@ def test_score_block_equals_pair_route(spec):
         A = g.to_scipy_csr()
         for lo, hi in blocks:
             want = score_method(g, block_pairs(lo, hi, n), spec)
-            got = predictors.score_block(g, lo, hi, spec)
+            got = metrics._score_block(g, lo, hi, spec)
             assert got.shape == (hi - lo, n)
             assert sparse.issparse(got) == (spec.method in CN_FAMILY)
             if sparse.issparse(got):
@@ -331,7 +318,7 @@ def test_bfs_equals_dijkstra(budget, monkeypatch):
         for lo, hi in blocks:
             want = predictors._reciprocal(
                 dijkstra_distances(g, np.arange(lo, hi)))
-            assert np.array_equal(predictors.score_block(g, lo, hi, spec),
+            assert np.array_equal(metrics._score_block(g, lo, hi, spec),
                                   want), (g, lo, hi)
 
 
@@ -474,7 +461,7 @@ def test_bfs_runs_no_level_past_its_farthest_reachable_pair(budget,
     path = cases[4][0]
     dist = dijkstra_distances(path, np.arange(path.num_nodes))
     calls.clear()
-    got = predictors.score_block(path, 0, 300, spec)
+    got = metrics._score_block(path, 0, 300, spec)
     assert np.array_equal(got, predictors._reciprocal(dist))
     assert got[0, 299] == 1 / 299 and got[299, 0] == 1 / 299
     want = farthest_per_batch(dist, np.arange(300),
@@ -871,7 +858,7 @@ def test_block_common_equals_reference_oracle(budget, monkeypatch):
         for lo in range(0, g.num_nodes, 512):
             hi = min(lo + 512, g.num_nodes)
             for name in CN_FAMILY:
-                got = predictors.score_block(g, lo, hi, MethodSpec(name))
+                got = metrics._score_block(g, lo, hi, MethodSpec(name))
                 want = reference_block_common(g, lo, hi, name)
                 assert got.format == "csr" and got.shape == want.shape
                 for part in ("indptr", "indices", "data"):
@@ -959,7 +946,7 @@ def test_common_neighbour_block_peak_memory_within_its_stated_bound(
                 predictors._chunks(vol2 + 1, predictors._CHUNK_BUDGET // 4))
     tracemalloc.start()
     try:
-        predictors.score_block(train, lo, hi, MethodSpec(method))
+        metrics._score_block(train, lo, hi, MethodSpec(method))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -969,14 +956,14 @@ def test_common_neighbour_block_peak_memory_within_its_stated_bound(
 
 def test_pa_block_peak_memory_is_one_block():
     # the degree outer product taken in float64: one (block, n) float64
-    # array, and score_block's finiteness check takes no (block, n) bool
+    # array, and _score_block's finiteness check takes no (block, n) bool
     # mask. An int64 product cast to float64 peaked at 23.5 MiB, the check
     # with a mask at 13.2 MiB, and the bound is 11.9 MiB
     g = generate_price(3000, 5, seed=2)
     n, block = g.num_nodes, 512
     tracemalloc.start()
     try:
-        predictors.score_block(g, 0, block, MethodSpec("pa"))
+        metrics._score_block(g, 0, block, MethodSpec("pa"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1010,7 +997,7 @@ def test_walk_blocks_build_one_block_beside_their_terms(spec, m, lo, hi):
     del paths2
     tracemalloc.start()
     try:
-        predictors.score_block(g, lo, hi, spec)
+        metrics._score_block(g, lo, hi, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1068,7 +1055,7 @@ def test_bit_plane_block_peak_memory_within_its_stated_bound(graph, lo, hi):
     planes = int(dijkstra_distances(g, np.arange(lo, hi)).max()).bit_length()
     tracemalloc.start()
     try:
-        predictors.score_block(g, lo, hi, MethodSpec("shortest_path"))
+        metrics._score_block(g, lo, hi, MethodSpec("shortest_path"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1215,5 +1202,5 @@ def test_lrw_equals_dense_oracles(walk_steps, monkeypatch):
             assert np.array_equal(got, want), (g, share)
         for (g, blocks), wants in zip(block_sets, want_blocks):
             for (lo, hi), want in zip(blocks, wants):
-                got = predictors.score_block(g, lo, hi, spec)
+                got = metrics._score_block(g, lo, hi, spec)
                 assert np.array_equal(got, want), (g, lo, hi, share)

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from linkbench import (METHODS, MethodSpec, SaturationError,  # noqa: E402
-                       build_graph, predictors, rbo,
+                       build_graph, metrics, predictors, rbo,
                        sample_negative_degree_corrected,
                        sample_negative_uniform, score_method, top_c_recommend)
 from conftest import dense_adjacency, dense_block  # noqa: E402
@@ -131,7 +131,7 @@ def test_shortest_path_matches_dense_power_oracle(g, data):
                           want[pairs[:, 0], pairs[:, 1]])
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n))
-    assert np.array_equal(predictors.score_block(g, lo, hi, spec),
+    assert np.array_equal(metrics._score_block(g, lo, hi, spec),
                           want[lo:hi])
 
 
